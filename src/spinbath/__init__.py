@@ -25,12 +25,10 @@ from .analysis import (
 )
 from .config import ExperimentConfig, config_from_dict, config_from_file, parse_observable_spec
 from .engine import (
-    GammaPair,
     ReducedState,
     expectation,
     gamma0,
     gamma1,
-    gamma_pair,
     overlap_r,
     r_squared_bounds,
     reduced_system_state,
@@ -39,13 +37,11 @@ from .engine import (
 from .ensemble import commensurate_model, sample_model, sample_observable
 from .model import (
     RelevantObservable,
-    RenormalizationRecord,
     SpinBathModel,
     Trajectory,
     eid_observable,
     make_model,
     make_observable,
-    renormalized_model,
     single_site_observable,
 )
 from .oracle import (
@@ -67,10 +63,8 @@ __all__ = [
     "DecoherenceVerdict",
     "DenseState",
     "ExperimentConfig",
-    "GammaPair",
     "ReducedState",
     "RelevantObservable",
-    "RenormalizationRecord",
     "SiteCapError",
     "SpinBathModel",
     "SweepRow",
@@ -88,7 +82,6 @@ __all__ = [
     "fluctuation_stats",
     "gamma0",
     "gamma1",
-    "gamma_pair",
     "make_model",
     "make_observable",
     "n_scaling_sweep",
@@ -101,7 +94,6 @@ __all__ = [
     "r_trajectory",
     "recurrence_check",
     "reduced_system_state",
-    "renormalized_model",
     "sample_model",
     "sample_observable",
     "single_site_observable",

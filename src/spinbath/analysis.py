@@ -111,9 +111,12 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     # Cumulative count of below-threshold samples; window [i, j) is all below
     # exactly when the count increases by j - i.
     counts = np.concatenate([[0], np.cumsum(below)])
+    # Rounding slack for window edges, in the grid's own units: far below any
+    # grid step, so rescaling times and window together keeps the verdict.
+    slack = 1e-6 * float(np.min(np.diff(times)))
     # Last start index whose window still fits on the grid.
-    fit = np.searchsorted(times, times[-1] - window + 1e-12, side="right")
-    ends = np.searchsorted(times, times[:fit] + window, side="right")
+    fit = np.searchsorted(times, times[-1] - window + slack, side="right")
+    ends = np.searchsorted(times, times[:fit] + window + slack, side="right")
     starts = np.arange(fit)
     qualified = counts[ends] - counts[starts] == ends - starts
     hits = np.nonzero(qualified)[0]
@@ -126,7 +129,7 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
             sup_late=float(magnitudes[i : ends[i]].max()),
             decohered=True,
         )
-    tail = np.searchsorted(times, times[-1] - window - 1e-12, side="left")
+    tail = np.searchsorted(times, times[-1] - window - slack, side="left")
     return DecoherenceVerdict(
         t_d=NEVER,
         threshold=threshold,
@@ -165,19 +168,26 @@ def fluctuation_stats(
     prediction is prod_i (|alpha_i|^4 + |beta_i|^4): each site factor of
     |r|^2 oscillates around that value, and the cosines average out for
     incommensurate couplings (commensurate models belong in recurrence_check
-    instead).  Returns (measured mean, prediction).
+    instead).  Returns (measured mean, prediction).  Raises ValueError when
+    the prediction is below the smallest normal double, where neither number
+    nor their ratio means anything.
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("time window is degenerate")
     if samples < 100:
         raise ValueError("need at least 100 time samples")
-    gen = np.random.default_rng(seed)
-    ts = gen.uniform(t0, t1, samples)
-    mean_r2 = float(np.mean(np.abs(overlap_r(model, ts)) ** 2))
     w_up = model.alphas.real**2 + model.alphas.imag**2
     w_down = model.betas.real**2 + model.betas.imag**2
     predicted_r2 = float(np.prod(w_up**2 + w_down**2))
+    if predicted_r2 < np.finfo(float).tiny:
+        raise ValueError(
+            f"predicted late-time |r|^2 = {predicted_r2!r} is below the smallest "
+            f"normal double; use fewer sites"
+        )
+    gen = np.random.default_rng(seed)
+    ts = gen.uniform(t0, t1, samples)
+    mean_r2 = float(np.mean(np.abs(overlap_r(model, ts)) ** 2))
     return mean_r2, predicted_r2
 
 

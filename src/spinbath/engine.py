@@ -3,8 +3,13 @@
 Because the coupling Hamiltonian is diagonal in the up/down product basis,
 every product-form observable has an expectation value that factorizes into
 one 2x2 contraction per site.  This module evaluates those per-site factors
-and multiplies them, switching to log-magnitude accumulation when the site
-count is large enough that a direct product could underflow.
+and multiplies them with one separate-exponent product: each factor is split
+into a mantissa and a power of two, mantissas are multiplied in site blocks
+and the exponent is carried as an integer, so a product is a correctly scaled
+double however many sites it spans.  Results underflow gradually the way
+IEEE doubles do: subnormal where the true value is, exactly 0 only below
+2^-1074.  Factors are built one tile of sites x times at a time, so a call
+holds O(N + T) memory, never an (N, T) matrix.
 
 Every public function accepts a scalar time or a 1-D array of times and
 returns a matching scalar or array.
@@ -18,25 +23,12 @@ import numpy as np
 
 from .model import RelevantObservable, SpinBathModel, _check_hermitian
 
-# Direct multiplication is exact enough up to this many sites; beyond it the
-# product runs in log-magnitude + phase form.  A summed log magnitude below
-# UNDERFLOW_LOG (exp would be subnormal) is reported as exactly 0.0.
-DIRECT_PRODUCT_MAX_SITES = 64
-UNDERFLOW_LOG = -700.0
-
-
-@dataclass(frozen=True)
-class GammaPair:
-    """Both product factors of the expectation value at one time.
-
-    ``gamma0`` scales the populations and is real by construction (each of
-    its per-site factors is a real 2x2 contraction); ``gamma1`` scales the
-    coherence cross term and is complex.
-    """
-
-    gamma0: float
-    gamma1: complex
-    t: float
+# Factors are built and multiplied in tiles of at most _TILE_ELEMENTS
+# (sites x times) and at most _TILE_SITES sites.  Every mantissa has its larger
+# component in [0.5, 1), so a product of _TILE_SITES of them stays above
+# 2^-1000, still a normal double, until the running product is renormalized.
+_TILE_ELEMENTS = 2**12
+_TILE_SITES = 1000
 
 
 @dataclass(frozen=True)
@@ -101,57 +93,87 @@ def _site_weights(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray]:
     return w_up, w_down
 
 
-def _stable_product_real(factors: np.ndarray) -> np.ndarray:
-    """Column-wise product of a real (n_sites, n_times) factor matrix."""
-    if factors.shape[0] <= DIRECT_PRODUCT_MAX_SITES:
-        return np.prod(factors, axis=0)
-    has_zero = np.any(factors == 0.0, axis=0)
-    safe = np.where(has_zero[None, :], 1.0, np.abs(factors))
-    log_mag = np.sum(np.log(safe), axis=0)
-    sign = np.where(np.sum(factors < 0.0, axis=0) % 2 == 1, -1.0, 1.0)
-    out = np.where(log_mag < UNDERFLOW_LOG, 0.0, sign * np.exp(log_mag))
-    return np.where(has_zero, 0.0, out)
+def _ldexp(x: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """x * 2**exponent for real or complex x, rounded once."""
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, exponent)
+    out = np.empty_like(x)
+    np.ldexp(x.real, exponent, out=out.real)
+    np.ldexp(x.imag, exponent, out=out.imag)
+    return out
 
 
-def _stable_product_complex(factors: np.ndarray) -> np.ndarray:
-    """Column-wise product of a complex (n_sites, n_times) factor matrix."""
-    if factors.shape[0] <= DIRECT_PRODUCT_MAX_SITES:
-        return np.prod(factors, axis=0)
-    has_zero = np.any(factors == 0.0, axis=0)
-    safe = np.where(has_zero[None, :], 1.0, np.abs(factors))
-    log_mag = np.sum(np.log(safe), axis=0)
-    phase = np.sum(np.angle(factors), axis=0)
-    out = np.where(
-        log_mag < UNDERFLOW_LOG,
-        0.0 + 0.0j,
-        np.exp(log_mag) * np.exp(1j * phase),
-    )
-    return np.where(has_zero, 0.0 + 0.0j, out)
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = mantissa * 2**exponent, the larger of |Re|, |Im| of the mantissa in [0.5, 1).
+
+    Zero splits into a zero mantissa and exponent 0.
+    """
+    if not np.iscomplexobj(x):
+        return np.frexp(x)
+    _, exponent = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)))
+    return _ldexp(x, -exponent), exponent
 
 
-def _gamma0_factors(model: SpinBathModel, obs: RelevantObservable, times: np.ndarray) -> np.ndarray:
-    """Real per-site factors (n_sites, n_times) of the population product."""
+def _site_products(factors, n_sites: int, times: np.ndarray) -> list[np.ndarray]:
+    """Products over all sites of each factor that ``factors`` builds.
+
+    ``factors(sites, t)`` returns a tuple of (sites, times) arrays, real or
+    complex, for a slice of sites and a chunk of times; the result holds one
+    array over ``times`` per tuple entry.  Each running product keeps a
+    mantissa and an integer exponent per time point and is renormalized
+    after every site block; the only rounding to the double range is the
+    final ldexp.
+    """
+    cols = max(1, min(times.size, _TILE_ELEMENTS))
+    rows = min(_TILE_SITES, _TILE_ELEMENTS // cols)
+    chunks = []
+    for c in range(0, max(times.size, 1), cols):
+        t = times[c : c + cols]
+        running = None
+        for lo in range(0, n_sites, rows):
+            blocks = factors(slice(lo, lo + rows), t)
+            if running is None:
+                running = [(np.ones(t.size, b.dtype), np.zeros(t.size, np.int64)) for b in blocks]
+            for (mantissa, exponent), block in zip(running, blocks):
+                block_mantissa, block_exponent = _split(block)
+                mantissa *= block_mantissa.prod(axis=0)
+                mantissa[:], carry = _split(mantissa)
+                exponent += block_exponent.sum(axis=0)
+                exponent += carry
+        # Adding 0 turns a negative number that underflowed to -0.0 into +0.0.
+        chunks.append([_ldexp(mantissa, exponent) + 0 for mantissa, exponent in running])
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+def _expectation_products(
+    model: SpinBathModel, obs: RelevantObservable, times: np.ndarray
+) -> list[np.ndarray]:
+    """gamma0 at +t, gamma0 at -t and gamma1, from one rotation per tile.
+
+    With cross = conj(alpha) beta eps_ud, the per-site factors are
+
+        gamma0(+-t):  |alpha|^2 eps_uu + |beta|^2 eps_dd + 2 Re(cross e^(-+i g t)),
+        gamma1(t):    |alpha|^2 eps_uu e^(i g t) + |beta|^2 eps_dd e^(-i g t) + 2 Re(cross).
+    """
+    _check_sizes(model, obs)
     w_up, w_down = _site_weights(model)
-    eps_uu = obs.site_parts[:, 0, 0].real
-    eps_dd = obs.site_parts[:, 1, 1].real
+    up = w_up * obs.site_parts[:, 0, 0].real
+    down = w_down * obs.site_parts[:, 1, 1].real
+    static, up_minus_down = (up + down)[:, None], (up - down)[:, None]
     cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
-    rotation = np.exp(-1j * np.outer(model.couplings, times))
-    static = (w_up * eps_uu + w_down * eps_dd)[:, None]
-    return static + 2.0 * np.real(cross[:, None] * rotation)
+    cross_re, cross_im = 2.0 * cross.real[:, None], 2.0 * cross.imag[:, None]
 
+    def factors(sites, t):
+        phase = np.outer(model.couplings[sites], t)
+        cos, sin = np.cos(phase), np.sin(phase)
+        even = static[sites] + cross_re[sites] * cos
+        odd = cross_im[sites] * sin
+        g1 = np.empty(phase.shape, complex)
+        g1.real = static[sites] * cos + cross_re[sites]
+        g1.imag = up_minus_down[sites] * sin
+        return even + odd, even - odd, g1
 
-def _gamma1_factors(model: SpinBathModel, obs: RelevantObservable, times: np.ndarray) -> np.ndarray:
-    """Complex per-site factors (n_sites, n_times) of the coherence product."""
-    w_up, w_down = _site_weights(model)
-    eps_uu = obs.site_parts[:, 0, 0].real
-    eps_dd = obs.site_parts[:, 1, 1].real
-    cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
-    rotation = np.exp(1j * np.outer(model.couplings, times))
-    return (
-        (w_up * eps_uu)[:, None] * rotation
-        + (w_down * eps_dd)[:, None] / rotation
-        + 2.0 * np.real(cross)[:, None]
-    )
+    return _site_products(factors, model.n_sites, times)
 
 
 def gamma0(model: SpinBathModel, obs: RelevantObservable, t):
@@ -161,9 +183,8 @@ def gamma0(model: SpinBathModel, obs: RelevantObservable, t):
 
     multiplied over all sites.  Real by construction.
     """
-    _check_sizes(model, obs)
     times, scalar = _as_times(t)
-    out = _stable_product_real(_gamma0_factors(model, obs, times))
+    out = _expectation_products(model, obs, times)[0]
     return float(out[0]) if scalar else out
 
 
@@ -175,15 +196,9 @@ def gamma1(model: SpinBathModel, obs: RelevantObservable, t):
 
     multiplied over all sites.
     """
-    _check_sizes(model, obs)
     times, scalar = _as_times(t)
-    out = _stable_product_complex(_gamma1_factors(model, obs, times))
+    out = _expectation_products(model, obs, times)[2]
     return complex(out[0]) if scalar else out
-
-
-def gamma_pair(model: SpinBathModel, obs: RelevantObservable, t: float) -> GammaPair:
-    """Evaluate both products at a single time."""
-    return GammaPair(gamma0=gamma0(model, obs, t), gamma1=gamma1(model, obs, t), t=float(t))
 
 
 def expectation(model: SpinBathModel, obs: RelevantObservable, t):
@@ -197,23 +212,15 @@ def expectation(model: SpinBathModel, obs: RelevantObservable, t):
 
     Matches the brute-force dense evaluation to machine precision.
     """
-    _check_sizes(model, obs)
     times, scalar = _as_times(t)
+    plus, minus, coherence = _expectation_products(model, obs, times)
     s00 = obs.system_part[0, 0].real
     s11 = obs.system_part[1, 1].real
     s10 = obs.system_part[1, 0]
     a, b = complex(model.a), complex(model.b)
     w_a = a.real**2 + a.imag**2
     w_b = b.real**2 + b.imag**2
-    pop = w_a * s00 * _stable_product_real(_gamma0_factors(model, obs, times))
-    pop += w_b * s11 * _stable_product_real(_gamma0_factors(model, obs, -times))
-    cross = 2.0 * np.real(
-        model.a
-        * np.conj(model.b)
-        * s10
-        * _stable_product_complex(_gamma1_factors(model, obs, times))
-    )
-    out = pop + cross
+    out = w_a * s00 * plus + w_b * s11 * minus + 2.0 * np.real(a * np.conj(b) * s10 * coherence)
     return float(out[0]) if scalar else out
 
 
@@ -225,8 +232,16 @@ def overlap_r(model: SpinBathModel, t):
     """
     times, scalar = _as_times(t)
     w_up, w_down = _site_weights(model)
-    rotation = np.exp(1j * np.outer(model.couplings, times))
-    out = _stable_product_complex(w_up[:, None] * rotation + w_down[:, None] / rotation)
+    w_sum, w_diff = (w_up + w_down)[:, None], (w_up - w_down)[:, None]
+
+    def factors(sites, t):
+        phase = np.outer(model.couplings[sites], t)
+        f = np.empty(phase.shape, complex)
+        f.real = w_sum[sites] * np.cos(phase)
+        f.imag = w_diff[sites] * np.sin(phase)
+        return (f,)
+
+    out = _site_products(factors, model.n_sites, times)[0]
     return complex(out[0]) if scalar else out
 
 
@@ -237,9 +252,9 @@ def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
     the product is bracketed by (prod_i (2|alpha_i|^2 - 1)^2, 1).
     """
     w_up, _ = _site_weights(model)
-    per_site = (2.0 * w_up - 1.0) ** 2
-    lower = _stable_product_real(per_site[:, None])
-    return float(lower[0]), 1.0
+    per_site = ((2.0 * w_up - 1.0) ** 2)[:, None]
+    lower = _site_products(lambda sites, t: (per_site[sites],), model.n_sites, np.zeros(1))
+    return float(lower[0][0]), 1.0
 
 
 def single_spin_expectation(model: SpinBathModel, j: int, eps, t):

@@ -73,14 +73,6 @@ class SpinBathModel:
 
 
 @dataclass(frozen=True)
-class RenormalizationRecord:
-    """Scale factors applied by the lenient constructor (1.0 means untouched)."""
-
-    system_factor: float
-    site_factors: np.ndarray
-
-
-@dataclass(frozen=True)
 class RelevantObservable:
     """Product-form observable: one 2x2 system part, one 2x2 part per site.
 
@@ -152,18 +144,8 @@ def make_model(a, b, sites) -> SpinBathModel:
 
     Strict: inputs whose squared norms deviate from 1 by more than ``NORM_TOL``
     are rejected, couplings must be positive, and at least one site is
-    required.  Use :func:`renormalized_model` to accept unnormalized input.
+    required.
     """
-    model, _ = _build_model(a, b, sites, renormalize=False)
-    return model
-
-
-def renormalized_model(a, b, sites) -> tuple[SpinBathModel, RenormalizationRecord]:
-    """Lenient constructor: rescales unnormalized pairs and reports the factors."""
-    return _build_model(a, b, sites, renormalize=True)
-
-
-def _build_model(a, b, sites, renormalize: bool):
     sites = list(sites)
     if not sites:
         raise ValueError("model needs at least one environment site")
@@ -171,48 +153,37 @@ def _build_model(a, b, sites, renormalize: bool):
     b = complex(b)
 
     sys_norm2 = _check_pair(a, b, "system")
-    sys_factor = 1.0
     if abs(sys_norm2 - 1.0) > NORM_TOL:
-        if not renormalize:
-            raise ValueError(
-                f"system amplitudes not normalized: |a|^2 + |b|^2 = {sys_norm2!r}"
-            )
-        sys_factor = 1.0 / math.sqrt(sys_norm2)
-        a *= sys_factor
-        b *= sys_factor
+        raise ValueError(
+            f"system amplitudes not normalized: |a|^2 + |b|^2 = {sys_norm2!r}"
+        )
 
     alphas = np.empty(len(sites), dtype=complex)
     betas = np.empty(len(sites), dtype=complex)
     couplings = np.empty(len(sites), dtype=float)
-    site_factors = np.ones(len(sites), dtype=float)
     for k, (alpha, beta, g) in enumerate(sites):
         alpha = complex(alpha)
         beta = complex(beta)
         g = float(g)
         norm2 = _check_pair(alpha, beta, f"site {k + 1}")
         if abs(norm2 - 1.0) > NORM_TOL:
-            if not renormalize:
-                raise ValueError(
-                    f"site {k + 1} amplitudes not normalized: "
-                    f"|alpha|^2 + |beta|^2 = {norm2!r}"
-                )
-            site_factors[k] = 1.0 / math.sqrt(norm2)
-            alpha *= site_factors[k]
-            beta *= site_factors[k]
+            raise ValueError(
+                f"site {k + 1} amplitudes not normalized: "
+                f"|alpha|^2 + |beta|^2 = {norm2!r}"
+            )
         if not math.isfinite(g) or g <= 0.0:
             raise ValueError(f"site {k + 1} coupling must be positive, got {g!r}")
         alphas[k] = alpha
         betas[k] = beta
         couplings[k] = g
 
-    model = SpinBathModel(
+    return SpinBathModel(
         a=a,
         b=b,
         alphas=_frozen_array(alphas, complex),
         betas=_frozen_array(betas, complex),
         couplings=_frozen_array(couplings, float),
     )
-    return model, RenormalizationRecord(sys_factor, _frozen_array(site_factors, float))
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:

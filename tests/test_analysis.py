@@ -97,6 +97,24 @@ class TestDecoherenceTime:
         with pytest.raises(ValueError, match="window"):
             decoherence_time(traj, 0.5, -1.0)
 
+    @pytest.mark.parametrize("first_below", [805, 300])
+    def test_verdict_is_invariant_under_rescaling(self, first_below):
+        # Samples drop below threshold from index first_below on.  A window of
+        # 200 steps fits only from starts <= 799, so 805 never qualifies, in
+        # any unit of time; 300 qualifies at the same index in every unit.
+        steps = np.arange(1000)
+        values = np.where(steps < first_below, 0.5, 0.05)
+        for k in range(-15, 6):
+            unit = 10.0**k
+            traj = Trajectory(times=steps * unit, values=values)
+            verdict = decoherence_time(traj, 0.1, 200 * unit)
+            if first_below == 805:
+                assert not verdict.decohered, f"unit 1e{k}"
+            else:
+                assert verdict.decohered, f"unit 1e{k}"
+                assert verdict.t_d == traj.times[first_below]
+                assert verdict.sup_late == 0.05
+
     def test_complex_values_use_modulus(self):
         times = np.linspace(0.0, 10.0, 101)
         values = 0.05j * np.ones_like(times)
@@ -147,6 +165,10 @@ class TestFluctuationStats:
         model = sample_model(3, 0)
         with pytest.raises(ValueError, match="degenerate"):
             fluctuation_stats(model, (5.0, 5.0), samples=200)
+
+    def test_prediction_below_normal_range_is_rejected(self):
+        with pytest.raises(ValueError, match="smallest normal"):
+            fluctuation_stats(sample_model(2000, 0), (50.0, 550.0))
 
     def test_minimum_samples(self):
         model = sample_model(3, 0)

@@ -208,6 +208,12 @@ class TestExitCodes:
         payload = json.loads((tmp_path / "oracle_check.json").read_text())
         assert payload["passed"] is False
 
+    def test_fluctuation_without_meaningful_ratio_fails(self, tmp_path, capsys):
+        # At 2000 sites the predicted late-time |r|^2 is below 2^-1022.
+        assert run_cli(["fluctuation", "--n", "2000"], tmp_path) == EXIT_INVALID
+        assert "smallest normal" in capsys.readouterr().err
+        assert not (tmp_path / "fluctuation.json").exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
         assert __version__ in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Closed-form evaluator checks: hand-computable cases, symmetries, stability."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath.engine import (
-    GammaPair,
     ReducedState,
     expectation,
     gamma0,
     gamma1,
-    gamma_pair,
     overlap_r,
     r_squared_bounds,
     reduced_system_state,
@@ -90,16 +90,6 @@ class TestGamma1:
         obs = eid_observable(0.2, 0.7 - 0.1j, -0.4, 9)
         ts = np.linspace(0.0, 30.0, 11)
         assert np.allclose(gamma1(model, obs, ts), overlap_r(model, ts), atol=1e-12)
-
-
-def test_gamma_pair_bundles_both():
-    model = sample_model(4, 8)
-    obs = sample_observable(4, 9)
-    pair = gamma_pair(model, obs, 2.7)
-    assert isinstance(pair, GammaPair)
-    assert pair.gamma0 == gamma0(model, obs, 2.7)
-    assert pair.gamma1 == gamma1(model, obs, 2.7)
-    assert pair.t == 2.7
 
 
 class TestExpectation:
@@ -303,32 +293,107 @@ class TestReducedState:
 
 class TestStableProducts:
     def test_log_path_matches_direct_product(self):
-        # 70 sites forces the log-magnitude path; the same factors multiplied
+        # Over 2000 time points a tile holds two sites, so these 70 sites are
+        # multiplied in 35 renormalized blocks; the same factors multiplied
         # naively are still well inside double range, so both must agree.
         model = sample_model(70, 40)
-        for t in (0.4, 3.3):
+        times = np.linspace(0.0, 4.0, 2000)
+        r = overlap_r(model, times)
+        for k in (200, 1649):
             w_up = np.abs(model.alphas) ** 2
             w_down = np.abs(model.betas) ** 2
-            rotation = np.exp(1j * model.couplings * t)
+            rotation = np.exp(1j * model.couplings * times[k])
             naive = np.prod(w_up * rotation + w_down / rotation)
-            assert overlap_r(model, t) == pytest.approx(naive, abs=1e-12)
+            assert r[k] == pytest.approx(naive, abs=1e-12)
 
     def test_exact_zero_factor_short_circuits(self):
         # Site 1 points straight up and its observable part has no up-up
-        # weight, so that factor is exactly 0 regardless of the log path.
+        # weight, so that factor is exactly 0 whatever the other sites give.
         sites = [(1.0, 0.0, 1.0)] + [(INV, INV, 1.0 + 0.01 * k) for k in range(69)]
         model = make_model(INV, INV, sites)
         parts = [np.array([[0.0, 0.0], [0.0, 1.0]])] + [IDENTITY_2] * 69
         obs = make_observable(IDENTITY_2, parts)
         assert gamma0(model, obs, 0.3) == 0.0
 
-    def test_underflow_is_reported_as_exact_zero(self):
-        # 1200 equal balanced sites at t = 1: each overlap factor has modulus
-        # |cos 1| so the log magnitude is about -738, beyond double range.
+    def test_underflow_is_gradual(self):
+        # 1200 equal balanced sites at t = 1: each overlap factor is cos 1, and
+        # cos(1)^1200 = 1.457e-321 is a subnormal double, not zero.
         model = make_model(INV, INV, [(INV, INV, 1.0)] * 1200)
+        expected = math.exp(1200 * math.log(math.cos(1.0)))
+        assert 0.0 < expected < sys.float_info.min
+        assert abs(overlap_r(model, 1.0) - expected) <= 4 * math.ulp(0.0)
+        # cos(1)^1300 = e^-800 lies below the smallest subnormal.
+        model = make_model(INV, INV, [(INV, INV, 1.0)] * 1300)
         assert overlap_r(model, 1.0) == 0.0
-        # The same model slightly earlier is representable and nonzero.
-        assert overlap_r(model, 0.05) != 0.0
+
+    def test_large_and_small_factors_balance(self):
+        # Factors 1e200, 1e200, 1e-200, 1e-200 multiply to 1; no partial
+        # product may overflow on the way.
+        model = equal_superposition_model(4)
+        scales = (1e200, 1e200, 1e-200, 1e-200)
+        obs = make_observable(SIGMA_X, [s * IDENTITY_2 for s in scales])
+        plain = eid_observable(0.0, 1.0, 0.0, 4)
+        assert gamma0(model, obs, 0.7) == pytest.approx(1.0)
+        value = expectation(model, obs, 0.7)
+        assert math.isfinite(value)
+        assert value == pytest.approx(expectation(model, plain, 0.7))
+
+
+# Natural logs of the smallest normal double and of 2^-1075, below which a
+# value rounds to 0.
+LOG_TINY = math.log(sys.float_info.min)
+LOG_ZERO = -1075 * math.log(2.0)
+
+
+def _log_overlap_referee(model, t):
+    """(log|r|, arg r) as fsums over sites, independent of the engine's product.
+
+    log|r| = 1/2 sum_i log1p(-4 u_i (1 - u_i) sin^2(g_i t)) and
+    arg r = sum_i atan2((2 u_i - 1) sin(g_i t), cos(g_i t)), with u_i = |alpha_i|^2.
+    """
+    u = np.abs(model.alphas) ** 2
+    sin, cos = np.sin(model.couplings * t), np.cos(model.couplings * t)
+    log_mag = 0.5 * math.fsum(np.log1p(-4.0 * u * (1.0 - u) * sin**2))
+    phase = math.fsum(np.arctan2((2.0 * u - 1.0) * sin, cos))
+    return log_mag, phase
+
+
+@pytest.mark.parametrize("n_sites", [65, 1000, 10_000])
+def test_overlap_matches_log_space_referee_at_large_n(n_sites):
+    model = sample_model(n_sites, 3)
+    # Out to t = 1.2 the N = 10^4 bath reaches log|r| of about -2000: the grid
+    # crosses e^-700, the subnormal range and the exact-zero range.
+    times = np.linspace(0.0, 1.2 * 10_000 / n_sites, 241)
+    r = overlap_r(model, times)
+    regimes = set()
+    for t, value in zip(times.tolist(), r.tolist()):
+        ref, phase = _log_overlap_referee(model, t)
+        mag = abs(value)
+        if ref > LOG_TINY:
+            regimes.add("normal" if ref > -700.0 else "below e^-700")
+            assert math.log(mag) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+            assert abs(math.remainder(math.atan2(value.imag, value.real) - phase, 2 * math.pi)) < 1e-9
+        elif ref > LOG_ZERO:
+            regimes.add("subnormal")
+            assert abs(mag - math.exp(ref)) <= 1e-9 * math.exp(ref) + 4 * math.ulp(0.0)
+        else:
+            regimes.add("zero")
+            assert value == 0.0
+    if n_sites == 10_000:
+        assert regimes == {"normal", "below e^-700", "subnormal", "zero"}
+
+
+def test_overlap_memory_stays_bounded():
+    # 10^4 sites x 2000 times would be 305 MiB per complex (N, T) matrix.
+    model = sample_model(10_000, 0)
+    times = np.linspace(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        overlap_r(model, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_eid_expectation_at_time_zero_closed_form():

@@ -16,7 +16,6 @@ from spinbath.model import (
     eid_observable,
     make_model,
     make_observable,
-    renormalized_model,
     single_site_observable,
 )
 
@@ -83,21 +82,6 @@ class TestMakeModel:
             model.a = 0.0
         with pytest.raises(ValueError):
             model.alphas[0] = 0.0
-
-
-class TestRenormalizedModel:
-    def test_rescales_and_records(self):
-        model, record = renormalized_model(1.0, 1.0, [(3.0, 4.0, 1.0)])
-        assert abs(abs(model.a) ** 2 + abs(model.b) ** 2 - 1.0) < 1e-12
-        assert abs(abs(model.alphas[0]) ** 2 + abs(model.betas[0]) ** 2 - 1.0) < 1e-12
-        assert record.system_factor == pytest.approx(1.0 / math.sqrt(2.0))
-        assert record.site_factors[0] == pytest.approx(0.2)
-
-    def test_normalized_input_untouched(self):
-        model, record = renormalized_model(1.0, 0.0, [(INV, INV, 1.0)])
-        assert record.system_factor == 1.0
-        assert np.all(record.site_factors == 1.0)
-        assert model.a == 1.0 + 0.0j
 
 
 class TestObservables:
