@@ -7,9 +7,17 @@ depends only on (seed, k), the first 20 sites of a 100-site model coincide
 exactly with the 20-site model at the same seed, which is what makes
 site-count sweeps a controlled comparison.  The per-site draw order (u, then
 phase, then coupling) is likewise fixed; see the README for test vectors.
+
+NumPy freezes both ``SeedSequence`` and ``PCG64`` (NEP 19), so the draws are
+computed here for all children at once, with the same 32-bit hash and 128-bit
+LCG arithmetic that numpy runs one object at a time.  The results are
+bit-identical to ``default_rng(child).uniform(...)``; the tests check this
+against numpy itself.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -21,12 +29,117 @@ DEFAULT_AMPLITUDE = 1.0 / np.sqrt(2.0)
 COEFF_DISTS = ("uniform",)
 G_DISTS = ("uniform",)
 
+# SeedSequence hash constants (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier.  Python ints, so no numpy scalar ever overflows; every product
+# is taken on uint64 arrays, which wrap silently.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-def _site_streams(n_sites: int, seed: int) -> list[np.random.Generator]:
-    if n_sites < 1:
+
+def _hashmix(value, hash_const: int):
+    """SeedSequence hashmix on 32-bit words; returns (word, next hash constant)."""
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * b, from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    hi_lo, lo_hi = a_hi * b_lo, a_lo * b_hi
+    mid = ((a_lo * b_lo) >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One 128-bit LCG step, state * multiplier + increment, on (hi, lo) words."""
+    new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    new_lo = lo * _PCG_MULT_LO
+    return _add128(new_hi, new_lo, inc_hi, inc_lo)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _contract_draws(n: int, seed: int, k: int) -> np.ndarray:
+    """Raw PCG64 outputs of ``SeedSequence(seed).spawn(n)``: ``k`` per child.
+
+    Row i equals ``PCG64(children[i]).random_raw(k)``.  The spawn key is the
+    only entropy word that differs between children, so the pool is hashed
+    once and only that last word is mixed in per child.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if n < 1:
         raise ValueError("need at least one site")
-    children = np.random.SeedSequence(seed).spawn(n_sites)
-    return [np.random.default_rng(child) for child in children]
+    if n >= 1 << 32:
+        raise ValueError(
+            f"{n} streams need a two-word spawn key; at most 2**32 - 1 are supported"
+        )
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+
+    # SeedSequence.mix_entropy over [seed words, zero padding, spawn key].
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    for word in words[_POOL_SIZE:] + [np.arange(n, dtype=np.uint64)]:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    # SeedSequence.generate_state(4, uint64): eight 32-bit words, little-endian pairs.
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        word = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = (word * hash_const) & _MASK32
+        state.append(word ^ (word >> 16))
+    val = [state[2 * j] | (state[2 * j + 1] << 32) for j in range(4)]
+
+    # pcg64_set_seed: state (val0, val1), increment 2 (val2, val3) + 1, two LCG steps.
+    inc_hi = (val[2] << 1) | (val[3] >> 63)
+    inc_lo = (val[3] << 1) | 1
+    hi, lo = _add128(inc_hi, inc_lo, val[0], val[1])
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+    out = np.empty((n, k), dtype=np.uint64)
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output: (hi ^ lo) rotated right by the top six state bits.
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out
+
+
+def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` applied to raw outputs: 53-bit double, then scale."""
+    return low + (high - low) * ((raw >> 11) * 2.0**-53)
 
 
 def _check_dist(name: str, registry: tuple[str, ...], kind: str) -> None:
@@ -54,15 +167,15 @@ def sample_model(
     """
     _check_dist(coeff_dist, COEFF_DISTS, "coefficient")
     _check_dist(g_dist, G_DISTS, "coupling")
-    sites = []
-    for gen in _site_streams(n_sites, seed):
-        u = gen.uniform(0.0, 1.0)
-        phi = gen.uniform(0.0, 2.0 * np.pi)
-        g = 1.0 - gen.uniform(0.0, 1.0)
-        alpha = np.sqrt(u)
-        beta = np.sqrt(1.0 - u) * np.exp(1j * phi)
-        sites.append((alpha, beta, g))
-    return make_model(a, b, sites)
+    raw = _contract_draws(n_sites, seed, 3)
+    return make_model(a, b, _site_table(raw, 1.0 - _uniform(raw[:, 2], 0.0, 1.0)))
+
+
+def _site_table(raw: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """(alpha, beta, g) rows from each site's first two draws, u and then the phase."""
+    u = _uniform(raw[:, 0], 0.0, 1.0)
+    phi = _uniform(raw[:, 1], 0.0, 2.0 * np.pi)
+    return np.stack([np.sqrt(u), np.sqrt(1.0 - u) * np.exp(1j * phi), couplings], axis=1)
 
 
 def commensurate_model(
@@ -81,35 +194,26 @@ def commensurate_model(
     """
     if not (np.isfinite(g_base) and g_base > 0.0):
         raise ValueError("base coupling must be positive and finite")
-    sites = []
-    for j, gen in enumerate(_site_streams(n_sites, seed), start=1):
-        u = gen.uniform(0.0, 1.0)
-        phi = gen.uniform(0.0, 2.0 * np.pi)
-        alpha = np.sqrt(u)
-        beta = np.sqrt(1.0 - u) * np.exp(1j * phi)
-        sites.append((alpha, beta, j * g_base))
-    return make_model(a, b, sites)
-
-
-def _hermitian_part(gen: np.random.Generator) -> np.ndarray:
-    """One random 2x2 Hermitian matrix with every entry bounded by 1 in modulus."""
-    d0, d1 = gen.uniform(-1.0, 1.0, 2)
-    magnitude = gen.uniform(0.0, 1.0)
-    angle = gen.uniform(0.0, 2.0 * np.pi)
-    off = magnitude * np.exp(1j * angle)
-    return np.array([[d0, off], [np.conj(off), d1]])
+    raw = _contract_draws(n_sites, seed, 2)
+    return make_model(a, b, _site_table(raw, np.arange(1, n_sites + 1) * float(g_base)))
 
 
 def sample_observable(n_sites: int, seed: int) -> RelevantObservable:
     """Draw a random Hermitian product observable for equivalence sweeps.
 
     Stream 0 of the spawned family makes the system part, stream j the part
-    for site j; deterministic per (n_sites, seed).
+    for site j; deterministic per (n_sites, seed).  Each part takes four
+    draws: the two diagonal entries ~ Uniform(-1, 1), then the modulus
+    ~ Uniform(0, 1) and the phase ~ Uniform[0, 2 pi) of the upper
+    off-diagonal entry, so every entry is bounded by 1 in modulus.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
-    children = np.random.SeedSequence(seed).spawn(n_sites + 1)
-    gens = [np.random.default_rng(child) for child in children]
-    system = _hermitian_part(gens[0])
-    parts = [_hermitian_part(g) for g in gens[1:]]
-    return make_observable(system, parts)
+    raw = _contract_draws(n_sites + 1, seed, 4)
+    off = _uniform(raw[:, 2], 0.0, 1.0) * np.exp(1j * _uniform(raw[:, 3], 0.0, 2.0 * np.pi))
+    parts = np.empty((n_sites + 1, 2, 2), dtype=complex)
+    parts[:, 0, 0] = _uniform(raw[:, 0], -1.0, 1.0)
+    parts[:, 1, 1] = _uniform(raw[:, 1], -1.0, 1.0)
+    parts[:, 0, 1] = off
+    parts[:, 1, 0] = np.conj(off)
+    return make_observable(parts[0], parts[1:])

@@ -142,74 +142,118 @@ def _check_pair(x: complex, y: complex, what: str) -> float:
 def make_model(a, b, sites) -> SpinBathModel:
     """Build a validated model from system amplitudes and (alpha, beta, g) triples.
 
-    Strict: inputs whose squared norms deviate from 1 by more than ``NORM_TOL``
-    are rejected, couplings must be positive, and at least one site is
-    required.
+    ``sites`` is a sequence of triples or an (N, 3) array of them.  Strict:
+    inputs whose squared norms deviate from 1 by more than ``NORM_TOL`` are
+    rejected, couplings must be real and positive, and at least one site is
+    required.  Every check runs over all sites at once; the message names the
+    first bad site.
     """
-    sites = list(sites)
-    if not sites:
+    if not isinstance(sites, np.ndarray):
+        sites = list(sites)
+    if len(sites) == 0:
         raise ValueError("model needs at least one environment site")
+    try:
+        table = np.array(sites, dtype=complex)
+    except ValueError:
+        table = None
+    if table is None or table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError("every site must be an (alpha, beta, g) triple")
     a = complex(a)
     b = complex(b)
-
     sys_norm2 = _check_pair(a, b, "system")
     if abs(sys_norm2 - 1.0) > NORM_TOL:
         raise ValueError(
             f"system amplitudes not normalized: |a|^2 + |b|^2 = {sys_norm2!r}"
         )
 
-    alphas = np.empty(len(sites), dtype=complex)
-    betas = np.empty(len(sites), dtype=complex)
-    couplings = np.empty(len(sites), dtype=float)
-    for k, (alpha, beta, g) in enumerate(sites):
-        alpha = complex(alpha)
-        beta = complex(beta)
-        g = float(g)
-        norm2 = _check_pair(alpha, beta, f"site {k + 1}")
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"site {k + 1} amplitudes not normalized: "
-                f"|alpha|^2 + |beta|^2 = {norm2!r}"
-            )
-        if not math.isfinite(g) or g <= 0.0:
-            raise ValueError(f"site {k + 1} coupling must be positive, got {g!r}")
-        alphas[k] = alpha
-        betas[k] = beta
-        couplings[k] = g
-
+    alphas, betas, g = table.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.abs(alphas) ** 2 + np.abs(betas) ** 2
+    faults = (
+        (~(np.isfinite(alphas) & np.isfinite(betas)), "amplitudes must be finite"),
+        (norm2 == 0.0, "amplitude pair has zero norm"),
+        (
+            ~(np.abs(norm2 - 1.0) <= NORM_TOL),
+            lambda k: f"amplitudes not normalized: |alpha|^2 + |beta|^2 = {float(norm2[k])!r}",
+        ),
+        (g.imag != 0.0, lambda k: f"coupling must be real, got {complex(g[k])!r}"),
+        (
+            ~(np.isfinite(g.real) & (g.real > 0.0)),
+            lambda k: f"coupling must be positive, got {float(g[k].real)!r}",
+        ),
+    )
+    _raise_first_fault(faults, lambda k: f"site {k + 1}")
     return SpinBathModel(
         a=a,
         b=b,
         alphas=_frozen_array(alphas, complex),
         betas=_frozen_array(betas, complex),
-        couplings=_frozen_array(couplings, float),
+        couplings=_frozen_array(g.real, float),
     )
+
+
+def _raise_first_fault(faults, label) -> None:
+    """Raise for the first index that any mask flags, naming it with ``label(k)``.
+
+    ``faults`` pairs boolean masks over one axis with their messages (a string,
+    or a function of the index), in the order a one-at-a-time check would try
+    them, so the first message that applies at that index is the one raised.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(text for mask, text in faults if mask[k])
+        raise ValueError(f"{label(k)} {message(k) if callable(message) else message}")
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.array(mat, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{what} entries must be finite")
-    if abs(mat[0, 0].imag) > HERMITICITY_TOL or abs(mat[1, 1].imag) > HERMITICITY_TOL:
-        raise ValueError(f"{what} diagonal must be real")
-    if abs(mat[0, 1] - np.conj(mat[1, 0])) > HERMITICITY_TOL:
-        raise ValueError(f"{what} off-diagonal entries must be conjugates")
+    _check_hermitian_stack(mat[None], lambda k: what)
     return mat
+
+
+def _check_hermitian_stack(mats: np.ndarray, label) -> None:
+    """Entrywise Hermiticity of an (m, 2, 2) stack; ``label(k)`` names matrix k."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        faults = (
+            (~np.isfinite(mats).all(axis=(1, 2)), "entries must be finite"),
+            (
+                (np.abs(mats[:, 0, 0].imag) > HERMITICITY_TOL)
+                | (np.abs(mats[:, 1, 1].imag) > HERMITICITY_TOL),
+                "diagonal must be real",
+            ),
+            (
+                np.abs(mats[:, 0, 1] - np.conj(mats[:, 1, 0])) > HERMITICITY_TOL,
+                "off-diagonal entries must be conjugates",
+            ),
+        )
+    _raise_first_fault(faults, label)
 
 
 def make_observable(system_part, site_parts) -> RelevantObservable:
     """Validate Hermiticity entrywise and freeze a product-form observable."""
     system = _check_hermitian(system_part, "system part")
-    parts = [
-        _check_hermitian(p, f"site part {k + 1}") for k, p in enumerate(site_parts)
-    ]
-    if not parts:
+    if not isinstance(site_parts, np.ndarray):
+        site_parts = list(site_parts)
+    try:
+        parts = np.array(site_parts, dtype=complex)
+    except ValueError:
+        parts = None
+    if parts is None or parts.shape[1:] != (2, 2):
+        # Ragged or misshapen input: check part by part, so that the message
+        # names the first part that fails.
+        parts = [
+            _check_hermitian(p, f"site part {k + 1}") for k, p in enumerate(site_parts)
+        ]
+        parts = np.stack(parts) if parts else np.empty((0, 2, 2), dtype=complex)
+    if len(parts) == 0:
         raise ValueError("observable needs at least one site part")
+    _check_hermitian_stack(parts, lambda k: f"site part {k + 1}")
     return RelevantObservable(
         system_part=_frozen_array(system, complex),
-        site_parts=_frozen_array(np.stack(parts), complex),
+        site_parts=_frozen_array(parts, complex),
     )
 
 

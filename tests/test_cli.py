@@ -183,6 +183,11 @@ class TestExitCodes:
     def test_invalid_model_size(self, tmp_path, capsys):
         assert run_cli(["simulate-r", "--n", "0"], tmp_path) == EXIT_INVALID
 
+    def test_negative_seed(self, tmp_path, capsys):
+        assert run_cli(["simulate-r", "--n", "3", "--seed", "-1"], tmp_path) == EXIT_INVALID
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "simulate_r.csv").exists()
+
     def test_bad_observable_spec(self, tmp_path, capsys):
         code = run_cli(["simulate-obs", "--n", "4", "--obs", "mystery:1"], tmp_path)
         assert code == EXIT_INVALID

@@ -1,10 +1,128 @@
 """Determinism, distribution support and the common-seed family structure."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinbath.ensemble import commensurate_model, sample_model, sample_observable
+from spinbath.ensemble import (
+    _contract_draws,
+    commensurate_model,
+    sample_model,
+    sample_observable,
+)
 from spinbath.oracle import build_initial, oracle_expectation
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def reference_site_draws(n_sites, seed):
+    """(u, phi, g) per site, one numpy Generator per spawned child."""
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(n_sites):
+        gen = np.random.default_rng(child)
+        u = gen.uniform(0.0, 1.0)
+        phi = gen.uniform(0.0, 2.0 * np.pi)
+        draws.append((u, phi, 1.0 - gen.uniform(0.0, 1.0)))
+    return draws
+
+
+def reference_model_arrays(n_sites, seed):
+    alphas, betas, couplings = [], [], []
+    for u, phi, g in reference_site_draws(n_sites, seed):
+        alphas.append(complex(np.sqrt(u)))
+        betas.append(complex(np.sqrt(1.0 - u) * np.exp(1j * phi)))
+        couplings.append(g)
+    return np.array(alphas), np.array(betas), np.array(couplings)
+
+
+def reference_observable_parts(n_sites, seed):
+    """System part first, then one part per site, from spawn(n_sites + 1)."""
+    parts = []
+    for child in np.random.SeedSequence(seed).spawn(n_sites + 1):
+        gen = np.random.default_rng(child)
+        d0, d1 = gen.uniform(-1.0, 1.0, 2)
+        off = gen.uniform(0.0, 1.0) * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi))
+        parts.append(np.array([[d0, off], [np.conj(off), d1]]))
+    return np.stack(parts)
+
+
+def assert_matches_numpy(n_sites, seed):
+    alphas, betas, couplings = reference_model_arrays(n_sites, seed)
+    model = sample_model(n_sites, seed)
+    assert np.array_equal(model.alphas, alphas)
+    assert np.array_equal(model.betas, betas)
+    assert np.array_equal(model.couplings, couplings)
+    ladder = commensurate_model(n_sites, 0.25, seed)
+    assert np.array_equal(ladder.alphas, alphas)
+    assert np.array_equal(ladder.betas, betas)
+    parts = reference_observable_parts(n_sites, seed)
+    obs = sample_observable(n_sites, seed)
+    assert np.array_equal(obs.system_part, parts[0])
+    assert np.array_equal(obs.site_parts, parts[1:])
+
+
+class TestBitExactAgainstNumpy:
+    """The array sampler reproduces numpy's per-child Generator draws bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("n_sites", [1, 2, 48, 1000])
+    def test_fixed_seeds(self, seed, n_sites):
+        assert_matches_numpy(n_sites, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n_sites=st.integers(1, 300))
+    def test_any_seed(self, seed, n_sites):
+        assert_matches_numpy(n_sites, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**96 + 3, 2**130 + 11])
+    def test_raw_outputs_match_pcg64(self, seed):
+        # Seeds of four or more 32-bit words take SeedSequence's second mixing loop.
+        children = np.random.SeedSequence(seed).spawn(5)
+        expected = np.stack([np.random.PCG64(c).random_raw(6) for c in children])
+        assert np.array_equal(_contract_draws(5, seed, 6), expected)
+
+    def test_readme_test_vectors(self):
+        text = README.read_text(encoding="utf-8")
+        rows = re.findall(r"^\| (\d+) \| (\d+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", text, re.M)
+        assert len(rows) == 7
+        for seed, site, u, phi, g in rows:
+            seed, site, u, phi, g = int(seed), int(site), float(u), float(phi), float(g)
+            alpha, beta, coupling = sample_model(site, seed).site(site)
+            assert alpha == np.sqrt(u)
+            assert beta == np.sqrt(1.0 - u) * np.exp(1j * phi)
+            assert coupling == g
+            assert reference_site_draws(site, seed)[-1] == (u, phi, g)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sample_model(3, -1),
+            lambda: commensurate_model(3, 1.0, -1),
+            lambda: sample_observable(3, -1),
+            lambda: _contract_draws(3, -1, 2),
+        ],
+    )
+    def test_negative_seed_is_named(self, draw):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            draw()
+
+    def test_non_integer_seed(self):
+        with pytest.raises(TypeError):
+            sample_model(3, 1.5)
+
+    def test_spawn_key_must_fit_one_word(self):
+        # Checked before anything is allocated.
+        with pytest.raises(ValueError, match="two-word spawn key"):
+            _contract_draws(2**32, 0, 3)
+        with pytest.raises(ValueError, match="two-word spawn key"):
+            sample_observable(2**32 - 1, 0)
+        assert _contract_draws(1, 0, 3).shape == (1, 3)
 
 
 class TestSampleModel:

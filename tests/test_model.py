@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ class TestMakeModel:
     def test_empty_sites(self):
         with pytest.raises(ValueError, match="at least one"):
             make_model(1.0, 0.0, [])
+
+    def test_message_names_first_bad_site_and_its_first_fault(self):
+        good = (INV, INV, 1.0)
+        cases = [
+            ([good, (1.0, 1.0, -1.0), (0.0, 0.0, 1.0)], "site 2 amplitudes not normalized"),
+            ([good, good, (0.0, 0.0, -1.0), (math.nan, 0.0, 1.0)], "site 3 amplitude pair has zero norm"),
+            ([good, (math.inf, 0.0, 0.0)], "site 2 amplitudes must be finite"),
+            ([good, (1.0, 0.0, math.nan), (1.0, 1.0, 1.0)], "site 2 coupling must be positive, got nan"),
+            ([good, (1e200, 0.0, 1.0)], "site 2 amplitudes not normalized: |alpha|^2 + |beta|^2 = inf"),
+            ([good, (1.0, 0.0, 1.0 + 1.0j)], "site 2 coupling must be real, got (1+1j)"),
+        ]
+        for sites, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_model(1.0, 0.0, sites)
+
+    def test_site_must_be_a_triple(self):
+        for sites in ([(1.0, 0.0, 1.0), (1.0, 0.0)], [(1.0, 0.0, 1.0, 2.0)], [1.0]):
+            with pytest.raises(ValueError, match="triple"):
+                make_model(1.0, 0.0, sites)
 
     def test_site_index_is_one_based(self):
         model = make_model(1.0, 0.0, [(1.0, 0.0, 0.5), (0.0, 1.0, 1.5)])
@@ -130,9 +150,29 @@ class TestObservables:
         with pytest.raises(ValueError, match="2x2"):
             make_observable(np.eye(3), [IDENTITY_2])
 
+    def test_message_names_first_bad_site_part(self):
+        bad_off = np.array([[1.0, 1.0j], [1.0j, 0.0]])
+        bad_diag = np.array([[1.0j, 0.0], [0.0, 0.0]])
+        not_finite = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        cases = [
+            ([IDENTITY_2, bad_off, bad_diag], "site part 2 off-diagonal entries must be conjugates"),
+            ([IDENTITY_2, IDENTITY_2, bad_diag, bad_off], "site part 3 diagonal must be real"),
+            ([IDENTITY_2, not_finite, bad_off], "site part 2 entries must be finite"),
+            ([IDENTITY_2, np.eye(3), bad_off], "site part 2 must be a 2x2 matrix"),
+            ([IDENTITY_2, bad_off, np.eye(3)], "site part 2 off-diagonal entries must be conjugates"),
+            ([np.eye(3), np.eye(3)], "site part 1 must be a 2x2 matrix"),
+        ]
+        for parts, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_observable(IDENTITY_2, parts)
+        with pytest.raises(ValueError, match="^system part diagonal must be real$"):
+            make_observable(bad_diag, [bad_off])
+
     def test_make_observable_needs_sites(self):
         with pytest.raises(ValueError, match="at least one"):
             make_observable(IDENTITY_2, [])
+        with pytest.raises(ValueError, match="at least one"):
+            make_observable(IDENTITY_2, np.empty((0, 2, 2)))
 
     def test_stored_matrices_are_hermitian_and_frozen(self):
         obs = make_observable(
