@@ -52,19 +52,23 @@ EXIT_CHECK_FAILED = 4
 _OBS_SEED_OFFSET = 10**6
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
+    """Write one 1-D array per column under the digest-stamped header.
 
-
-def _write_csv(path: Path, digest: str, columns: tuple[str, ...], rows) -> None:
-    lines = [f"# spinbath {__version__}", f"# config {digest}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    Bool and integer columns print as integers (True as 1), float columns as
+    %.17g; every row is formatted by one % call over the interleaved values.
+    """
+    data = [np.asarray(col) for col in data]
+    rows = len(data[0])
+    row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in data) + "\n"
+    values = [None] * (rows * len(data))
+    for j, col in enumerate(data):
+        values[j :: len(data)] = col.tolist()
+    body = (row * rows) % tuple(values)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+    with path.open("w", encoding="ascii", newline="") as fh:
+        fh.write(f"# spinbath {__version__}\n# config {digest}\n{','.join(columns)}\n")
+        fh.write(body)
 
 
 def _write_json(path: Path, digest: str, payload: dict) -> None:
@@ -109,7 +113,7 @@ def _cmd_simulate_r(cfg: ExperimentConfig, out: Path) -> int:
         out / "simulate_r.csv",
         cfg.digest,
         ("t", "re_r", "im_r", "abs_r"),
-        zip(times, r.real, r.imag, np.abs(r)),
+        (times, r.real, r.imag, np.abs(r)),
     )
     return EXIT_OK
 
@@ -123,7 +127,7 @@ def _cmd_simulate_obs(cfg: ExperimentConfig, out: Path) -> int:
         out / "simulate_obs.csv",
         cfg.digest,
         ("t", "value"),
-        zip(times, values),
+        (times, values),
     )
     return EXIT_OK
 
@@ -143,7 +147,12 @@ def _cmd_sweep_n(cfg: ExperimentConfig, out: Path) -> int:
         out / "sweep_n.csv",
         cfg.digest,
         ("n", "t_d", "sup_late", "decohered"),
-        ((row.n_sites, row.t_d, row.sup_late, row.decohered) for row in rows),
+        (
+            [row.n_sites for row in rows],
+            [row.t_d for row in rows],
+            [row.sup_late for row in rows],
+            [row.decohered for row in rows],
+        ),
     )
     return EXIT_OK
 

@@ -11,12 +11,25 @@ IEEE doubles do: subnormal where the true value is, exactly 0 only below
 2^-1074.  Factors are built one tile of sites x times at a time, so a call
 holds O(N + T) memory, never an (N, T) matrix.
 
+Every factor depends on time only through the rotation e^(i g t) of its
+site.  When the times form an evenly spaced grid (every t_k within
+2 ulp(max |t|) of t_0 + k h, as np.linspace gives), the rotation is built by
+angle addition: runs of b = isqrt(tile width) points share one cos/sin at
+the run's first, actual time, each offset p within a run has one cos/sin of
+g p h, and the rotation at every point is their complex product.  A tile of
+width 2000 (b = 44) thus takes 46 + 44 cos/sin pairs per site instead of
+2000.  This moves each phase by at most about |g| 4 ulp(max |t|), the same
+order as the rounding of g t itself.  Any other grid, and a scalar time,
+takes cos and sin of every g t directly and gives exactly the values a
+direct evaluation gives.
+
 Every public function accepts a scalar time or a 1-D array of times and
 returns a matching scalar or array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +40,10 @@ from .model import RelevantObservable, SpinBathModel, _check_hermitian
 # (sites x times) and at most _TILE_SITES sites.  Every mantissa has its larger
 # component in [0.5, 1), so a product of _TILE_SITES of them stays above
 # 2^-1000, still a normal double, until the running product is renormalized.
-_TILE_ELEMENTS = 2**12
+# A complex tile is 128 KiB.  At 2^14 elements glibc's malloc returns the
+# freed tiles to the system and faults them back in (70k minor faults per
+# overlap_r call at N = 10^4, T = 2000), which costs more than it saves.
+_TILE_ELEMENTS = 2**13
 _TILE_SITES = 1000
 
 
@@ -114,24 +130,66 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _ldexp(x, -exponent), exponent
 
 
-def _site_products(factors, n_sites: int, times: np.ndarray) -> list[np.ndarray]:
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _even_step(times: np.ndarray) -> float | None:
+    """Spacing h of an evenly spaced grid, or None for any other grid.
+
+    The grid is evenly spaced when every t_k lies within 2 ulp(max |t|) of
+    t_0 + k h, with h = (t_last - t_0) / (T - 1).  A span beyond the double
+    range gives a non-finite h and counts as uneven.
+    """
+    if times.size < 2:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (times[-1] - times[0]) / (times.size - 1)
+        if not np.isfinite(step):
+            return None
+        slack = 2.0 * np.spacing(max(abs(times[0]), abs(times[-1])))
+        grid = np.arange(times.size) * step + times[0]
+        return float(step) if np.all(np.abs(times - grid) <= slack) else None
+
+
+def _site_products(factors, couplings: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
     """Products over all sites of each factor that ``factors`` builds.
 
-    ``factors(sites, t)`` returns a tuple of (sites, times) arrays, real or
-    complex, for a slice of sites and a chunk of times; the result holds one
-    array over ``times`` per tuple entry.  Each running product keeps a
-    mantissa and an integer exponent per time point and is renormalized
-    after every site block; the only rounding to the double range is the
-    final ldexp.
+    ``factors(sites, cos, sin)`` returns a tuple of (sites, times) arrays,
+    real or complex, for a slice of sites given cos and sin of g t over a
+    chunk of times; the result holds one array over ``times`` per tuple
+    entry.  Each running product keeps a mantissa and an integer exponent per
+    time point and is renormalized after every site block; the only rounding
+    to the double range is the final ldexp.
+
+    On an evenly spaced grid the rotation e^(i g t) is built by angle
+    addition: each run of b = isqrt(cols) points takes one coarse rotation at
+    its first, actual time and one fine rotation g p h per offset p, and
+    t_(qb+p) gets their product.  On any other grid b = 1 and cos, sin are
+    taken of every g t directly.
     """
     cols = max(1, min(times.size, _TILE_ELEMENTS))
     rows = min(_TILE_SITES, _TILE_ELEMENTS // cols)
+    step = _even_step(times)
+    run = 1 if step is None else math.isqrt(cols)
+    offsets = np.arange(run) * (step or 0.0)
     chunks = []
     for c in range(0, max(times.size, 1), cols):
         t = times[c : c + cols]
         running = None
-        for lo in range(0, n_sites, rows):
-            blocks = factors(slice(lo, lo + rows), t)
+        for lo in range(0, couplings.size, rows):
+            sites = slice(lo, lo + rows)
+            g = couplings[sites, None]
+            phase = g * t[::run]
+            cos, sin = np.cos(phase), np.sin(phase)
+            if run > 1:
+                coarse, fine = _complex(cos, sin), g * offsets
+                rotation = coarse[:, :, None] * _complex(np.cos(fine), np.sin(fine))[:, None, :]
+                rotation = rotation.reshape(g.size, -1)[:, : t.size]
+                cos, sin = rotation.real, rotation.imag
+            blocks = factors(sites, cos, sin)
             if running is None:
                 running = [(np.ones(t.size, b.dtype), np.zeros(t.size, np.int64)) for b in blocks]
             for (mantissa, exponent), block in zip(running, blocks):
@@ -163,17 +221,15 @@ def _expectation_products(
     cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
     cross_re, cross_im = 2.0 * cross.real[:, None], 2.0 * cross.imag[:, None]
 
-    def factors(sites, t):
-        phase = np.outer(model.couplings[sites], t)
-        cos, sin = np.cos(phase), np.sin(phase)
+    def factors(sites, cos, sin):
         even = static[sites] + cross_re[sites] * cos
         odd = cross_im[sites] * sin
-        g1 = np.empty(phase.shape, complex)
+        g1 = np.empty(cos.shape, complex)
         g1.real = static[sites] * cos + cross_re[sites]
         g1.imag = up_minus_down[sites] * sin
         return even + odd, even - odd, g1
 
-    return _site_products(factors, model.n_sites, times)
+    return _site_products(factors, model.couplings, times)
 
 
 def gamma0(model: SpinBathModel, obs: RelevantObservable, t):
@@ -234,14 +290,13 @@ def overlap_r(model: SpinBathModel, t):
     w_up, w_down = _site_weights(model)
     w_sum, w_diff = (w_up + w_down)[:, None], (w_up - w_down)[:, None]
 
-    def factors(sites, t):
-        phase = np.outer(model.couplings[sites], t)
-        f = np.empty(phase.shape, complex)
-        f.real = w_sum[sites] * np.cos(phase)
-        f.imag = w_diff[sites] * np.sin(phase)
+    def factors(sites, cos, sin):
+        f = np.empty(cos.shape, complex)
+        f.real = w_sum[sites] * cos
+        f.imag = w_diff[sites] * sin
         return (f,)
 
-    out = _site_products(factors, model.n_sites, times)[0]
+    out = _site_products(factors, model.couplings, times)[0]
     return complex(out[0]) if scalar else out
 
 
@@ -253,7 +308,7 @@ def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
     """
     w_up, _ = _site_weights(model)
     per_site = ((2.0 * w_up - 1.0) ** 2)[:, None]
-    lower = _site_products(lambda sites, t: (per_site[sites],), model.n_sites, np.zeros(1))
+    lower = _site_products(lambda sites, cos, sin: (per_site[sites],), model.couplings, np.zeros(1))
     return float(lower[0][0]), 1.0
 
 

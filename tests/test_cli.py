@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spinbath import __version__
@@ -12,6 +13,7 @@ from spinbath.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOURCE_CAP,
+    _write_csv,
     main,
 )
 from spinbath.config import ExperimentConfig
@@ -19,6 +21,21 @@ from spinbath.config import ExperimentConfig
 
 def run_cli(args, out_dir):
     return main([*args, "--out", str(out_dir)])
+
+
+def _fmt_reference(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _write_csv_reference(path, digest, columns, rows):
+    """The per-value generator writer, kept as the byte-level reference."""
+    lines = [f"# spinbath {__version__}", f"# config {digest}", ",".join(columns)]
+    lines.extend(",".join(_fmt_reference(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
 
 
 class TestCsvFormat:
@@ -39,7 +56,7 @@ class TestCsvFormat:
     def test_floats_use_full_precision(self, tmp_path):
         run_cli(["simulate-r", "--n", "8", "--points", "40"], tmp_path)
         lines = (tmp_path / "simulate_r.csv").read_text().splitlines()
-        # Round-tripping every cell reproduces the shortest-repr value.
+        # Every cell is its own value printed with 17 significant digits.
         for line in lines[3:]:
             for cell in line.split(","):
                 assert format(float(cell), ".17g") == cell
@@ -76,6 +93,31 @@ class TestCsvFormat:
         assert t_d == "inf"
         assert flag == "0"
         assert float(sup) > 0.9
+
+
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_writer_matches_per_value_reference(self, tmp_path, rows):
+        special = [-0.0, 5e-324, 1e308, math.inf, -math.inf, 0.1, -2.5e-300]
+        floats = np.array(special + [math.pi * k for k in range(rows)])[:rows]
+        columns = (
+            [10**k for k in range(rows)],
+            floats,
+            floats[::-1] / 3.0,
+            [bool(k % 2) for k in range(rows)],
+            np.array([k % 3 == 0 for k in range(rows)], dtype=bool),
+        )
+        header = ("n", "t_d", "sup_late", "decohered", "flag")
+        _write_csv(tmp_path / "new.csv", "abc", header, columns)
+        _write_csv_reference(tmp_path / "old.csv", "abc", header, zip(*columns))
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == 3 + rows
+
+    def test_writer_renders_every_special_float(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e308, math.inf, 0.1])
+        _write_csv(tmp_path / "f.csv", "abc", ("v",), (values,))
+        cells = (tmp_path / "f.csv").read_text(encoding="ascii").splitlines()[3:]
+        assert cells == ["-0", "4.9406564584124654e-324", "1e+308", "inf", "0.10000000000000001"]
 
 
 class TestJsonOutputs:

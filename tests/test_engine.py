@@ -1,5 +1,6 @@
 """Closed-form evaluator checks: hand-computable cases, symmetries, stability."""
 
+import cmath
 import math
 import sys
 import tracemalloc
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath.engine import (
+    _TILE_ELEMENTS,
     ReducedState,
+    _even_step,
     expectation,
     gamma0,
     gamma1,
@@ -394,6 +397,124 @@ def test_overlap_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_expectation_memory_stays_bounded():
+    # 48 sites x 2e5 times would be 146 MiB per complex (N, T) matrix; the
+    # rotation buffers must stay tile-sized next to the O(T) results.
+    model = sample_model(48, 0)
+    obs = sample_observable(48, 10**6)
+    times = np.linspace(0.0, 100.0 / model.mean_coupling, 200_000)
+    tracemalloc.start()
+    try:
+        expectation(model, obs, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+EPS = sys.float_info.epsilon
+
+
+def _phase_error(model, times):
+    """Largest error per site in the phase g t behind any rotation.
+
+    |g| 4 ulp(t_max) is the documented error of the even-grid factorization;
+    each of the three rounded products g t_qb, g p h and a reference's own
+    g t adds at most |g| ulp(t_max); the cos/sin of each rotation and the
+    complex multiply add at most 4 eps.
+    """
+    t_ulp = math.ulp(float(np.max(np.abs(times))))
+    return (4 + 3) * np.abs(model.couplings) * t_ulp + 4 * EPS
+
+
+def _log_error_bound(model, t, phase_error):
+    """Bound on |d log r| when each site's phase moves by phase_error.
+
+    A site factor f = u e^(i g t) + w e^(-i g t) moves by |f'| per radian, so
+    log r moves by at most sum_i phase_error_i |f_i'| / |f_i|, plus the
+    rounding of an N-site product.
+    """
+    u = model.alphas.real**2 + model.alphas.imag**2
+    w = model.betas.real**2 + model.betas.imag**2
+    cos2 = np.cos(2.0 * model.couplings * t)
+    ratio = np.sqrt((u * u + w * w - 2 * u * w * cos2) / (u * u + w * w + 2 * u * w * cos2))
+    return math.fsum(phase_error * ratio) + 16 * model.n_sites * EPS
+
+
+def _assert_log_close(value, log_mag, phase, tol):
+    assert abs(math.log(abs(value)) - log_mag) <= tol
+    assert abs(math.remainder(math.atan2(value.imag, value.real) - phase, 2 * math.pi)) <= tol
+
+
+def _outer_product_reference(model, times):
+    """overlap_r from cos/sin of the full outer product g t, multiplied directly."""
+    phase = np.outer(model.couplings, times)
+    w_up = model.alphas.real**2 + model.alphas.imag**2
+    w_down = model.betas.real**2 + model.betas.imag**2
+    f = np.empty(phase.shape, complex)
+    f.real = (w_up + w_down)[:, None] * np.cos(phase)
+    f.imag = (w_up - w_down)[:, None] * np.sin(phase)
+    return f.prod(axis=0)
+
+
+class TestEvenGridRotation:
+    def test_overlap_matches_referee_at_large_phase(self):
+        # g t reaches about 10^4 rad; 5000 points span two time tiles.
+        model = sample_model(50, 8)
+        times = np.linspace(0.0, 1e4, 5000)
+        assert _even_step(times) is not None
+        assert np.max(model.couplings) * times[-1] > 0.9e4
+        phase_error = _phase_error(model, times)
+        r = overlap_r(model, times)
+        for t, value in zip(times.tolist(), r.tolist()):
+            assert abs(value) > sys.float_info.min
+            ref, phase = _log_overlap_referee(model, t)
+            _assert_log_close(value, ref, phase, _log_error_bound(model, t, phase_error))
+
+    def test_expectation_matches_scalar_calls_at_large_phase(self):
+        # Scalar times take one direct rotation per site.  With every site part
+        # scaled to spectral norm 1, each site factor and its derivative in the
+        # phase are at most 1 in modulus, so a product moves by at most the sum
+        # of the phase errors.
+        model = sample_model(8, 8, a=0.6, b=0.8j)
+        raw = sample_observable(8, 9)
+        obs = make_observable(raw.system_part, [p / np.linalg.norm(p, 2) for p in raw.site_parts])
+        times = np.linspace(0.0, 1e4, 5000)
+        values = expectation(model, obs, times)
+        scalar = np.array([expectation(model, obs, t) for t in times.tolist()])
+        s, a, b = obs.system_part, abs(model.a), abs(model.b)
+        weight = a * a * abs(s[0, 0]) + b * b * abs(s[1, 1]) + 2 * a * b * abs(s[1, 0])
+        bound = weight * (np.sum(_phase_error(model, times)) + 16 * model.n_sites * EPS)
+        assert np.max(np.abs(values - scalar)) <= bound
+        assert np.max(np.abs(values)) > 1e3 * bound
+
+    def test_uneven_grid_falls_back_to_direct_rotation(self):
+        model = sample_model(16, 5)
+        times = np.linspace(0.0, 1e4, 256)
+        uneven = times.copy()
+        uneven[100] += 1e-6
+        assert _even_step(times) is not None
+        assert _even_step(uneven) is None
+        # One tile, so the engine multiplies sites in the reference's order.
+        assert model.n_sites * times.size <= _TILE_ELEMENTS
+        r = overlap_r(model, uneven)
+        assert np.array_equal(r, _outer_product_reference(model, uneven))
+        even = overlap_r(model, times)
+        phase_error = _phase_error(model, times)
+        for k in range(times.size):
+            if k != 100:
+                tol = _log_error_bound(model, times[k], phase_error)
+                _assert_log_close(even[k], math.log(abs(r[k])), cmath.phase(r[k]), tol)
+
+    def test_grid_spanning_beyond_double_range(self):
+        # t_last - t_0 overflows, so the grid counts as uneven and raises no
+        # overflow warning.
+        model = sample_model(4, 2)
+        times = np.array([-1e308, 0.0, 1e308])
+        assert _even_step(times) is None
+        assert np.array_equal(overlap_r(model, times), _outer_product_reference(model, times))
 
 
 def test_eid_expectation_at_time_zero_closed_form():
