@@ -109,11 +109,12 @@ def _site_weights(model: SpinBathModel) -> tuple[np.ndarray, np.ndarray]:
     return w_up, w_down
 
 
-def _ldexp(x: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """x * 2**exponent for real or complex x, rounded once."""
+def _ldexp(x: np.ndarray, exponent: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * 2**exponent for real or complex x, rounded once, into ``out`` if given."""
     if not np.iscomplexobj(x):
-        return np.ldexp(x, exponent)
-    out = np.empty_like(x)
+        return np.ldexp(x, exponent, out=out)
+    if out is None:
+        out = np.empty_like(x)
     np.ldexp(x.real, exponent, out=out.real)
     np.ldexp(x.imag, exponent, out=out.imag)
     return out
@@ -175,7 +176,7 @@ def _site_products(factors, couplings: np.ndarray, times: np.ndarray) -> list[np
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
     offsets = np.arange(run) * (step or 0.0)
-    chunks = []
+    results = None
     for c in range(0, max(times.size, 1), cols):
         t = times[c : c + cols]
         running = None
@@ -198,9 +199,13 @@ def _site_products(factors, couplings: np.ndarray, times: np.ndarray) -> list[np
                 mantissa[:], carry = _split(mantissa)
                 exponent += block_exponent.sum(axis=0)
                 exponent += carry
-        # Adding 0 turns a negative number that underflowed to -0.0 into +0.0.
-        chunks.append([_ldexp(mantissa, exponent) + 0 for mantissa, exponent in running])
-    return [np.concatenate(parts) for parts in zip(*chunks)]
+        if results is None:
+            results = [np.empty(times.size, mantissa.dtype) for mantissa, _ in running]
+        for (mantissa, exponent), result in zip(running, results):
+            out = _ldexp(mantissa, exponent, out=result[c : c + cols])
+            # Adding 0 turns a negative number that underflowed to -0.0 into +0.0.
+            out += 0
+    return results
 
 
 def _expectation_products(

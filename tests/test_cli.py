@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import spinbath.cli as cli
 from spinbath import __version__
 from spinbath.cli import (
     EXIT_CHECK_FAILED,
@@ -17,6 +18,7 @@ from spinbath.cli import (
     main,
 )
 from spinbath.config import ExperimentConfig
+from spinbath.engine import _even_step
 
 
 def run_cli(args, out_dir):
@@ -154,6 +156,26 @@ class TestJsonOutputs:
         assert payload["max_diff_expectation"] <= 1e-10
         assert payload["max_diff_overlap"] <= 1e-10
         assert payload["max_diff_reduced_state"] <= 1e-10
+
+    def test_oracle_check_referees_engine_on_whole_grid(self, tmp_path, monkeypatch):
+        # The engine gets each trial's evenly spaced grid in one call, the way
+        # real runs call it, so its angle-addition path is what gets checked.
+        grids = []
+
+        def recording(func):
+            def wrapper(model, *args):
+                grids.append((func.__name__, np.asarray(args[-1])))
+                return func(model, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "expectation", recording(cli.expectation))
+        monkeypatch.setattr(cli, "overlap_r", recording(cli.overlap_r))
+        assert run_cli(["oracle-check", "--n", "3", "--trials", "2"], tmp_path) == EXIT_OK
+        assert [name for name, _ in grids] == ["expectation", "overlap_r"] * 2
+        for _, times in grids:
+            assert times.shape == (10,)
+            assert _even_step(times) is not None
 
     def test_keys_are_sorted(self, tmp_path):
         run_cli(["timescale", "--v1", "5", "--v2", "2"], tmp_path)

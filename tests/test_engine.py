@@ -14,6 +14,7 @@ from spinbath.engine import (
     _TILE_ELEMENTS,
     ReducedState,
     _even_step,
+    _expectation_products,
     expectation,
     gamma0,
     gamma1,
@@ -412,6 +413,37 @@ def test_expectation_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_products_write_time_chunks_in_place():
+    # Three 8192-point chunks: the results (6.1 MiB for gamma0 at +-t and
+    # gamma1) are allocated once and each chunk is written into them, with no
+    # second copy from joining per-chunk pieces.
+    model = sample_model(48, 0)
+    obs = sample_observable(48, 10**6)
+    times = np.linspace(0.0, 100.0 / model.mean_coupling, 200_000)
+    tracemalloc.start()
+    try:
+        results = _expectation_products(model, obs, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(r.nbytes for r in results) + 2 * 2**20
+
+
+def test_chunks_match_separate_calls():
+    # An uneven grid takes cos and sin of every g t, so each 8192-point chunk
+    # is exactly what a call over that chunk alone returns.
+    model = sample_model(3, 4)
+    obs = sample_observable(3, 5)
+    times = np.sort(np.random.default_rng(6).uniform(0.0, 50.0, 2 * _TILE_ELEMENTS + 100))
+    assert _even_step(times) is None
+    chunks = [times[c : c + _TILE_ELEMENTS] for c in range(0, times.size, _TILE_ELEMENTS)]
+    assert np.array_equal(overlap_r(model, times), np.concatenate([overlap_r(model, c) for c in chunks]))
+    whole = _expectation_products(model, obs, times)
+    parts = [_expectation_products(model, obs, c) for c in chunks]
+    for k, result in enumerate(whole):
+        assert np.array_equal(result, np.concatenate([p[k] for p in parts]))
 
 
 EPS = sys.float_info.epsilon

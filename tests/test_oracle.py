@@ -1,18 +1,24 @@
 """Dense-state reference: construction, evolution, contraction, cross-checks."""
 
+import ast
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbath.oracle
 from spinbath.engine import expectation, overlap_r, reduced_system_state
 from spinbath.ensemble import sample_model, sample_observable
 from spinbath.model import IDENTITY_2, SIGMA_Z, RelevantObservable, eid_observable, make_model
 from spinbath.oracle import (
     DenseState,
     SiteCapError,
+    _site_field,
     branch_states,
     build_initial,
     evolve,
@@ -22,6 +28,7 @@ from spinbath.oracle import (
 )
 
 INV = 1.0 / math.sqrt(2.0)
+EPS = sys.float_info.epsilon
 
 seed_strategy = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -73,6 +80,13 @@ class TestDenseStateInvariants:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
+    def test_caller_array_stays_writable_and_detached(self):
+        amps = np.full(8, 1.0 / math.sqrt(8), dtype=complex)
+        state = DenseState(amplitudes=amps, n_sites=2, t=0.0)
+        assert amps.flags.writeable
+        amps[0] = 0.0
+        assert state.amplitudes[0] == 1.0 / math.sqrt(8)
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
@@ -116,6 +130,87 @@ class TestEvolve:
         up, down = branch_states(model, t)
         recon = np.concatenate([model.a * up, model.b * down])
         assert np.allclose(evolved.amplitudes, recon, atol=1e-12)
+
+
+def _random_state(n_sites, seed):
+    """A normalized dense state with no product structure."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** (n_sites + 1)) + 1j * rng.normal(size=2 ** (n_sites + 1))
+    return DenseState(amplitudes=amps / np.linalg.norm(amps), n_sites=n_sites, t=0.0)
+
+
+def _kron_matrix(obs):
+    """The full 2^(N+1) x 2^(N+1) observable, system part most significant."""
+    matrix = obs.system_part
+    for part in obs.site_parts:
+        matrix = np.kron(matrix, part)
+    return matrix
+
+
+class TestBlockedContraction:
+    @pytest.mark.parametrize("n_sites", range(1, 8))
+    def test_matches_full_matrix(self, n_sites):
+        # N + 1 = 2..8 parts: every remainder modulo the block size of 4.
+        for seed in range(3):
+            state = _random_state(n_sites, seed)
+            obs = sample_observable(n_sites, seed + 100)
+            matrix = _kron_matrix(obs)
+            ref = np.vdot(state.amplitudes, matrix @ state.amplitudes).real
+            scale = np.vdot(np.abs(state.amplitudes), np.abs(matrix) @ np.abs(state.amplitudes)).real
+            assert abs(oracle_expectation(state, obs) - ref) <= (n_sites + 1) * EPS * scale
+
+    def test_peak_memory_at_sixteen_sites(self):
+        model = sample_model(16, 3)
+        obs = sample_observable(16, 4)
+        state = evolve(build_initial(model), model, 2.0)
+        tracemalloc.start()
+        try:
+            oracle_expectation(state, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * state.amplitudes.nbytes
+
+    def test_imports_nothing_from_engine(self):
+        tree = ast.parse(Path(spinbath.oracle.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("engine" in name.split(".") for name in names)
+
+
+class TestDirectReferences:
+    """The per-entry exp and kron constructions the oracle kernels replace."""
+
+    @pytest.mark.parametrize("n_sites", [1, 4, 8])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -13.0, 4.5e5])
+    def test_evolve_matches_full_exponential(self, n_sites, t):
+        model = sample_model(n_sites, 31 + n_sites)
+        state = _random_state(n_sites, n_sites)
+        field = _site_field(model)
+        phase = np.concatenate([field, -field]) * (0.5 * t)
+        ref = state.amplitudes * np.exp(1j * phase)
+        got = evolve(state, model, t).amplitudes
+        assert np.all(np.abs(got - ref) <= 4 * EPS * np.abs(ref))
+
+    @pytest.mark.parametrize("n_sites", [1, 4, 8])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -13.0, 4.5e5])
+    def test_branch_states_match_kron_loop(self, n_sites, t):
+        model = sample_model(n_sites, 57 + n_sites)
+        up_ref = np.ones(1, dtype=complex)
+        down_ref = np.ones(1, dtype=complex)
+        for alpha, beta, g in zip(model.alphas, model.betas, model.couplings):
+            up_ref = np.kron(up_ref, [alpha * np.exp(0.5j * g * t), beta * np.exp(-0.5j * g * t)])
+            down_ref = np.kron(down_ref, [alpha * np.exp(-0.5j * g * t), beta * np.exp(0.5j * g * t)])
+        up, down = branch_states(model, t)
+        # Each of the N factors may differ by about an ulp.
+        tol = 4 * n_sites * EPS
+        assert np.all(np.abs(up - up_ref) <= tol * np.abs(up_ref))
+        assert np.all(np.abs(down - down_ref) <= tol * np.abs(down_ref))
 
 
 class TestOracleExpectation:
