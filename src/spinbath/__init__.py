@@ -5,7 +5,8 @@ dephasing interaction can be simulated two ways: a closed-form product over
 sites, linear in N, and a brute-force dense state vector, exponential in N.
 This package provides both, keeps them in agreement to 1e-10, and layers
 decoherence diagnostics, seeded ensembles and a reproducible experiment
-runner on top.
+runner on top.  A runner config may set only the fields its subcommand reads
+(``config.COMMANDS``), so equal outputs carry equal config digests.
 """
 
 from .analysis import (
@@ -21,14 +22,11 @@ from .analysis import (
     recurrence_check,
     timescale_estimate,
     timescale_report,
-    weak_limit_residual,
 )
 from .config import ExperimentConfig, config_from_dict, config_from_file, parse_observable_spec
 from .engine import (
     ReducedState,
     expectation,
-    gamma0,
-    gamma1,
     overlap_r,
     r_squared_bounds,
     reduced_system_state,
@@ -80,8 +78,6 @@ __all__ = [
     "evolve",
     "expectation",
     "fluctuation_stats",
-    "gamma0",
-    "gamma1",
     "make_model",
     "make_observable",
     "n_scaling_sweep",
@@ -100,5 +96,4 @@ __all__ = [
     "single_spin_expectation",
     "timescale_estimate",
     "timescale_report",
-    "weak_limit_residual",
 ]

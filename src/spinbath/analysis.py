@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import expectation, overlap_r
+from .engine import overlap_r
 from .ensemble import sample_model
-from .model import RelevantObservable, SpinBathModel, Trajectory
+from .model import SpinBathModel, Trajectory
 
 # Reduced Planck constant in eV s; the only dimensionful number in the package.
 HBAR_EV_S = 6.582119569e-16
@@ -139,21 +139,14 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     )
 
 
-def r_trajectory(
-    model: SpinBathModel, t_max: float, points: int, config_digest: str = ""
-) -> Trajectory:
+def r_trajectory(model: SpinBathModel, t_max: float, points: int) -> Trajectory:
     """Sample the bath-branch overlap on a uniform grid starting at 0."""
     if points < 2:
         raise ValueError("need at least two grid points")
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError("t_max must be positive and finite")
     times = np.linspace(0.0, t_max, points)
-    return Trajectory(
-        times=times,
-        values=overlap_r(model, times),
-        label="overlap_r",
-        config_digest=config_digest,
-    )
+    return Trajectory(times=times, values=overlap_r(model, times))
 
 
 def fluctuation_stats(
@@ -212,24 +205,6 @@ def recurrence_check(model: SpinBathModel, t_rec: float) -> float:
             "recurrence is only exact for commensurate models"
         )
     return abs(overlap_r(model, t_rec))
-
-
-def weak_limit_residual(model: SpinBathModel, obs: RelevantObservable, t):
-    """Distance of the expectation from its infinite-time limit.
-
-    Only defined for observables whose site parts are all identity: for those
-    the expectation is |a|^2 s00 + |b|^2 s11 plus a cross term proportional to
-    r(t), so the residual is bounded by 2 |a| |b| |s10| |r(t)| and inherits
-    the overlap decay.
-    """
-    if not obs.is_identity_sites():
-        raise ValueError("observable site parts must all be identity")
-    limit = (
-        abs(model.a) ** 2 * obs.system_part[0, 0].real
-        + abs(model.b) ** 2 * obs.system_part[1, 1].real
-    )
-    out = np.abs(np.asarray(expectation(model, obs, t)) - limit)
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def timescale_estimate(v_ev: float) -> float:

@@ -1,10 +1,13 @@
 """Command-line experiment runner with reproducible, digest-stamped outputs.
 
-Precedence for every knob: command-line flag, then config-file field, then
-the ExperimentConfig default.  Outputs land in --out, else $SPINBATH_OUT_DIR,
-else the working directory.  Data files carry no timestamps and use a fixed
-float rendering (17 significant digits, lowercase exponent), so replaying a
-config produces byte-identical files.
+Each subcommand offers one flag per config field its handler reads
+(``config.COMMANDS``), plus --config and --out; a flag or config key for a
+field it does not read exits 1.  Precedence for every field: command-line
+flag, then config-file field, then the ExperimentConfig default.  Outputs
+land in --out, else $SPINBATH_OUT_DIR, else the working directory.  Data
+files carry no timestamps and use a fixed float rendering (17 significant
+digits, lowercase exponent), so replaying a config produces byte-identical
+files.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 resource cap exceeded,
 3 I/O failure, 4 oracle check above tolerance.
@@ -23,6 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import fluctuation_stats, n_scaling_sweep, recurrence_check, timescale_report
 from .config import (
+    COMMANDS,
     ExperimentConfig,
     config_from_dict,
     config_from_file,
@@ -51,24 +55,28 @@ EXIT_CHECK_FAILED = 4
 # Seed offset separating observable draws from model draws in oracle checks.
 _OBS_SEED_OFFSET = 10**6
 
+# Rows formatted per % call, so the text held at once stays bounded.
+_CSV_BLOCK_ROWS = 2**14
+
 
 def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
     """Write one 1-D array per column under the digest-stamped header.
 
     Bool and integer columns print as integers (True as 1), float columns as
-    %.17g; every row is formatted by one % call over the interleaved values.
+    %.17g; each block of rows is formatted by one % call over the interleaved
+    values and written before the next block is formatted.
     """
     data = [np.asarray(col) for col in data]
-    rows = len(data[0])
     row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in data) + "\n"
-    values = [None] * (rows * len(data))
-    for j, col in enumerate(data):
-        values[j :: len(data)] = col.tolist()
-    body = (row * rows) % tuple(values)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="ascii", newline="") as fh:
         fh.write(f"# spinbath {__version__}\n# config {digest}\n{','.join(columns)}\n")
-        fh.write(body)
+        for lo in range(0, len(data[0]), _CSV_BLOCK_ROWS):
+            block = [col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in data]
+            values = [None] * (len(block[0]) * len(block))
+            for j, col in enumerate(block):
+                values[j :: len(block)] = col
+            fh.write((row * len(block[0])) % tuple(values))
 
 
 def _write_json(path: Path, digest: str, payload: dict) -> None:
@@ -89,15 +97,8 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return Path(env) if env else Path.cwd()
 
 
-def _model(cfg: ExperimentConfig, n_sites: int | None = None, seed: int | None = None) -> SpinBathModel:
-    return sample_model(
-        n_sites if n_sites is not None else cfg.n,
-        seed if seed is not None else cfg.seed,
-        coeff_dist=cfg.coeff_dist,
-        g_dist=cfg.g_dist,
-        a=cfg.a,
-        b=cfg.b,
-    )
+def _model(cfg: ExperimentConfig, seed: int | None = None) -> SpinBathModel:
+    return sample_model(cfg.n, seed if seed is not None else cfg.seed, a=cfg.a, b=cfg.b)
 
 
 def _time_grid(cfg: ExperimentConfig, model: SpinBathModel) -> np.ndarray:
@@ -106,6 +107,7 @@ def _time_grid(cfg: ExperimentConfig, model: SpinBathModel) -> np.ndarray:
 
 
 def _cmd_simulate_r(cfg: ExperimentConfig, out: Path) -> int:
+    """bath-branch overlap trajectory to CSV"""
     model = _model(cfg)
     times = _time_grid(cfg, model)
     r = overlap_r(model, times)
@@ -119,6 +121,7 @@ def _cmd_simulate_r(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_simulate_obs(cfg: ExperimentConfig, out: Path) -> int:
+    """observable expectation trajectory to CSV"""
     model = _model(cfg)
     obs, _ = parse_observable_spec(cfg.obs, model.n_sites, cfg.eps)
     times = _time_grid(cfg, model)
@@ -133,6 +136,7 @@ def _cmd_simulate_obs(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_sweep_n(cfg: ExperimentConfig, out: Path) -> int:
+    """decoherence verdicts across site counts"""
     n_list = list(cfg.n_list) if cfg.n_list is not None else [cfg.n]
     rows = n_scaling_sweep(
         n_list,
@@ -172,6 +176,7 @@ def _dense_point(state0, model, obs, t: float, site_cap: int):
 
 
 def _cmd_oracle_check(cfg: ExperimentConfig, out: Path) -> int:
+    """analytic vs dense-state equivalence report"""
     max_expectation = 0.0
     max_overlap = 0.0
     max_reduced = 0.0
@@ -211,6 +216,7 @@ def _cmd_oracle_check(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_recurrence(cfg: ExperimentConfig, out: Path) -> int:
+    """revival at the common period of commensurate couplings"""
     model = commensurate_model(cfg.n, cfg.g_base, cfg.seed, a=cfg.a, b=cfg.b)
     t_rec = 2.0 * np.pi / cfg.g_base
     abs_r = recurrence_check(model, t_rec)
@@ -230,6 +236,7 @@ def _cmd_recurrence(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_timescale(cfg: ExperimentConfig, out: Path) -> int:
+    """hbar / V decoherence-time estimates"""
     report = timescale_report(cfg.v1_ev, cfg.v2_ev)
     _write_json(
         out / "timescale.json",
@@ -246,6 +253,7 @@ def _cmd_timescale(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_fluctuation(cfg: ExperimentConfig, out: Path) -> int:
+    """late-time |r|^2 average vs prediction"""
     model = _model(cfg)
     gbar = model.mean_coupling
     t0 = cfg.t0 if cfg.t0 is not None else 50.0 / gbar
@@ -310,19 +318,32 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None, help="number of environment sites")
-    sub.add_argument("--coeff-dist", default=None, help="site coefficient distribution name")
-    sub.add_argument("--g-dist", default=None, help="coupling distribution name")
-    sub.add_argument("--a-re", type=float, default=None, help="central up amplitude, real part")
-    sub.add_argument("--a-im", type=float, default=None, help="central up amplitude, imaginary part")
-    sub.add_argument("--b-re", type=float, default=None, help="central down amplitude, real part")
-    sub.add_argument("--b-im", type=float, default=None, help="central down amplitude, imaginary part")
-
-
-def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-max", type=float, default=None, help="grid end time (default 100 / gbar)")
-    sub.add_argument("--points", type=int, default=None, help="number of grid points")
+# Config field -> (flag, type, help) for every field a subcommand can read.
+_FLAGS = {
+    "n": ("--n", int, "number of environment sites"),
+    "n_list": ("--n-list", _int_list, "comma-separated site counts"),
+    "seed": ("--seed", int, "base random seed"),
+    "a_re": ("--a-re", float, "central up amplitude, real part"),
+    "a_im": ("--a-im", float, "central up amplitude, imaginary part"),
+    "b_re": ("--b-re", float, "central down amplitude, real part"),
+    "b_im": ("--b-im", float, "central down amplitude, imaginary part"),
+    "t_max": ("--t-max", float, "grid end time (default 100 / gbar)"),
+    "points": ("--points", int, "number of grid points"),
+    "theta": ("--theta", float, "decoherence threshold"),
+    "window": ("--window", float, "hold window (default 20 / gbar)"),
+    "obs": ("--obs", str, "observable spec: eid:... | single-site:... | random:..."),
+    "eps": ("--eps", str, "site part for single-site specs (name or 4 numbers)"),
+    "g_base": ("--g-base", float, "base coupling; site j couples at j * g_base"),
+    "v1_ev": ("--v1", float, "first interaction strength (eV)"),
+    "v2_ev": ("--v2", float, "second interaction strength (eV)"),
+    "trials": ("--trials", int, "number of (model, observable) pairs"),
+    "tol": ("--tol", float, "largest allowed |difference|"),
+    "n_seeds": ("--seeds", int, "seeds per site count"),
+    "samples": ("--samples", int, "random time samples in the window"),
+    "t0": ("--t0", float, "window start (default 50 / gbar)"),
+    "t1": ("--t1", float, "window end (default 550 / gbar)"),
+    "site_cap": ("--site-cap", int, "dense-state memory guard override"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,47 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file; flags override its fields")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="base random seed")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser("simulate-r", parents=[common], help="bath-branch overlap trajectory to CSV")
-    _add_model_flags(sub)
-    _add_grid_flags(sub)
-
-    sub = subs.add_parser("simulate-obs", parents=[common], help="observable expectation trajectory to CSV")
-    _add_model_flags(sub)
-    _add_grid_flags(sub)
-    sub.add_argument("--obs", default=None, help="observable spec: eid:... | single-site:... | random:...")
-    sub.add_argument("--eps", default=None, help="site part for single-site specs (name or 4 numbers)")
-
-    sub = subs.add_parser("sweep-n", parents=[common], help="decoherence verdicts across site counts")
-    _add_model_flags(sub)
-    _add_grid_flags(sub)
-    sub.add_argument("--n-list", type=_int_list, default=None, help="comma-separated site counts")
-    sub.add_argument("--seeds", dest="n_seeds", type=int, default=None, help="seeds per site count")
-    sub.add_argument("--theta", type=float, default=None, help="decoherence threshold")
-    sub.add_argument("--window", type=float, default=None, help="hold window (default 20 / gbar)")
-
-    sub = subs.add_parser("oracle-check", parents=[common], help="analytic vs dense-state equivalence report")
-    _add_model_flags(sub)
-    sub.add_argument("--trials", type=int, default=None, help="number of (model, observable) pairs")
-    sub.add_argument("--tol", type=float, default=None, help="largest allowed |difference|")
-    sub.add_argument("--site-cap", type=int, default=None, help="dense-state memory guard override")
-
-    sub = subs.add_parser("recurrence", parents=[common], help="revival at the common period of commensurate couplings")
-    _add_model_flags(sub)
-    sub.add_argument("--g-base", type=float, default=None, help="base coupling; site j couples at j * g_base")
-
-    sub = subs.add_parser("timescale", parents=[common], help="hbar / V decoherence-time estimates")
-    sub.add_argument("--v1", dest="v1_ev", type=float, default=None, help="first interaction strength (eV)")
-    sub.add_argument("--v2", dest="v2_ev", type=float, default=None, help="second interaction strength (eV)")
-
-    sub = subs.add_parser("fluctuation", parents=[common], help="late-time |r|^2 average vs prediction")
-    _add_model_flags(sub)
-    sub.add_argument("--samples", type=int, default=None, help="random time samples in the window")
-    sub.add_argument("--t0", type=float, default=None, help="window start (default 50 / gbar)")
-    sub.add_argument("--t1", type=float, default=None, help="window end (default 550 / gbar)")
-
+    for command, reads in COMMANDS.items():
+        sub = subs.add_parser(command, parents=[common], help=_HANDLERS[command].__doc__)
+        for name in reads:
+            flag, kind, text = _FLAGS[name]
+            sub.add_argument(flag, dest=name, type=kind, help=text)
     return parser
 
 

@@ -1,10 +1,12 @@
 """Experiment configuration: flat JSON documents with a stable digest.
 
 A config is one flat key-value document; command-line flags override file
-fields, which override the defaults below.  The digest is the SHA-256 of the
-canonical serialization (sorted keys, compact separators) of every field
-except the output path, so the same experiment keeps the same digest wherever
-its results land.  Every output file embeds that digest.
+fields, which override the defaults below.  ``COMMANDS`` names, for each
+subcommand, the fields its handler reads; every other field must stay at its
+default.  The digest is the SHA-256 of the canonical serialization (sorted
+keys, compact separators) of every field except the output path, so the same
+experiment keeps the same digest wherever its results land, and two runs with
+equal outputs carry equal digests.  Every output file embeds that digest.
 """
 
 from __future__ import annotations
@@ -16,35 +18,38 @@ from typing import Any
 
 import numpy as np
 
-from .ensemble import COEFF_DISTS, DEFAULT_AMPLITUDE, G_DISTS, sample_observable
+from .ensemble import DEFAULT_AMPLITUDE, sample_observable
 from .model import PAULI_BY_NAME, RelevantObservable, eid_observable, single_site_observable
 
-COMMANDS = (
-    "simulate-r",
-    "simulate-obs",
-    "sweep-n",
-    "oracle-check",
-    "recurrence",
-    "timescale",
-    "fluctuation",
-)
+_MODEL_FIELDS = ("n", "seed", "a_re", "a_im", "b_re", "b_im")
+
+# The fields each subcommand's handler reads, in the order its flags are listed.
+COMMANDS = {
+    "simulate-r": _MODEL_FIELDS + ("t_max", "points"),
+    "simulate-obs": _MODEL_FIELDS + ("t_max", "points", "obs", "eps"),
+    "sweep-n": ("n", "n_list", "seed", "n_seeds", "theta", "window", "t_max", "points"),
+    "oracle-check": _MODEL_FIELDS + ("trials", "tol", "site_cap"),
+    "recurrence": _MODEL_FIELDS + ("g_base",),
+    "timescale": ("v1_ev", "v2_ev"),
+    "fluctuation": _MODEL_FIELDS + ("samples", "t0", "t1"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All knobs of one reproducible run, in one flat namespace.
 
-    Fields that default to None are derived from the model's mean coupling
-    gbar at run time: t_max becomes 100/gbar, window 20/gbar, and the
-    averaging interval (t0, t1) becomes (50/gbar, 550/gbar).
+    A field that ``COMMANDS`` does not list for ``command`` must keep its
+    default, so a config cannot set a knob its run ignores.  Fields that
+    default to None are derived from the model's mean coupling gbar at run
+    time: t_max becomes 100/gbar, window 20/gbar, and the averaging interval
+    (t0, t1) becomes (50/gbar, 550/gbar).
     """
 
     command: str
     n: int = 20
     n_list: tuple[int, ...] | None = None
     seed: int = 0
-    coeff_dist: str = "uniform"
-    g_dist: str = "uniform"
     a_re: float = DEFAULT_AMPLITUDE
     a_im: float = 0.0
     b_re: float = DEFAULT_AMPLITUDE
@@ -72,14 +77,20 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown command {self.command!r}; known: {', '.join(COMMANDS)}"
             )
+        unread = [
+            f.name
+            for f in fields(self)
+            if f.name not in (*COMMANDS[self.command], "command", "out")
+            and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ValueError(f"{self.command} does not read {', '.join(unread)}")
         if self.n_list is not None:
             object.__setattr__(self, "n_list", tuple(int(x) for x in self.n_list))
             if not self.n_list or any(x < 1 for x in self.n_list):
                 raise ValueError("n_list must be a non-empty list of positive counts")
         if self.n < 1:
             raise ValueError("site count must be at least 1")
-        if self.coeff_dist not in COEFF_DISTS or self.g_dist not in G_DISTS:
-            raise ValueError("unresolvable distribution name")
         if self.points < 2:
             raise ValueError("need at least two grid points")
         if not 0.0 < self.theta < 1.0:

@@ -237,31 +237,6 @@ def _expectation_products(
     return _site_products(factors, model.couplings, times)
 
 
-def gamma0(model: SpinBathModel, obs: RelevantObservable, t):
-    """Population-sector product: for each site,
-
-        |alpha|^2 eps_uu + |beta|^2 eps_dd + 2 Re(conj(alpha) beta eps_ud e^(-i g t)),
-
-    multiplied over all sites.  Real by construction.
-    """
-    times, scalar = _as_times(t)
-    out = _expectation_products(model, obs, times)[0]
-    return float(out[0]) if scalar else out
-
-
-def gamma1(model: SpinBathModel, obs: RelevantObservable, t):
-    """Coherence-sector product: for each site,
-
-        |alpha|^2 eps_uu e^(i g t) + |beta|^2 eps_dd e^(-i g t)
-            + 2 Re(conj(alpha) beta eps_ud),
-
-    multiplied over all sites.
-    """
-    times, scalar = _as_times(t)
-    out = _expectation_products(model, obs, times)[2]
-    return complex(out[0]) if scalar else out
-
-
 def expectation(model: SpinBathModel, obs: RelevantObservable, t):
     """Exact expectation value of a product observable in the evolved state.
 

@@ -25,10 +25,6 @@ from .model import RelevantObservable, SpinBathModel, make_model, make_observabl
 
 DEFAULT_AMPLITUDE = 1.0 / np.sqrt(2.0)
 
-# Registered distribution names accepted by sample_model and config files.
-COEFF_DISTS = ("uniform",)
-G_DISTS = ("uniform",)
-
 # SeedSequence hash constants (numpy/random/bit_generator.pyx) and the PCG64
 # multiplier.  Python ints, so no numpy scalar ever overflows; every product
 # is taken on uint64 arrays, which wrap silently.
@@ -142,18 +138,9 @@ def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * ((raw >> 11) * 2.0**-53)
 
 
-def _check_dist(name: str, registry: tuple[str, ...], kind: str) -> None:
-    if name not in registry:
-        raise ValueError(
-            f"unknown {kind} distribution {name!r}; known: {', '.join(registry)}"
-        )
-
-
 def sample_model(
     n_sites: int,
     seed: int,
-    coeff_dist: str = "uniform",
-    g_dist: str = "uniform",
     a: complex = DEFAULT_AMPLITUDE,
     b: complex = DEFAULT_AMPLITUDE,
 ) -> SpinBathModel:
@@ -163,10 +150,8 @@ def sample_model(
     |beta|^2 = 1 - u with alpha real non-negative; a relative phase
     ~ Uniform[0, 2 pi) goes onto beta; the coupling is 1 - Uniform(0, 1),
     i.e. uniform on the half-open interval (0, 1] so it is never zero.
-    Deterministic for fixed (n_sites, seed, distributions).
+    Deterministic for fixed (n_sites, seed).
     """
-    _check_dist(coeff_dist, COEFF_DISTS, "coefficient")
-    _check_dist(g_dist, G_DISTS, "coupling")
     raw = _contract_draws(n_sites, seed, 3)
     return make_model(a, b, _site_table(raw, 1.0 - _uniform(raw[:, 2], 0.0, 1.0)))
 

@@ -87,10 +87,6 @@ class RelevantObservable:
     def n_sites(self) -> int:
         return self.site_parts.shape[0]
 
-    def is_identity_sites(self, tol: float = HERMITICITY_TOL) -> bool:
-        """True when every site part is the identity (system-only observable)."""
-        return bool(np.all(np.abs(self.site_parts - IDENTITY_2) <= tol))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -98,14 +94,11 @@ class Trajectory:
 
     ``times`` is strictly increasing, in simulation units (hbar = 1; the mean
     coupling of the generating model sets the natural scale).  ``values`` may
-    be real or complex.  ``config_digest`` ties the data to the experiment
-    configuration that produced it.
+    be real or complex.
     """
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
-    config_digest: str = ""
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)

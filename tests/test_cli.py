@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour: files, formats, exit codes, replay."""
 
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +17,38 @@ from spinbath.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOURCE_CAP,
+    _CSV_BLOCK_ROWS,
     _write_csv,
+    build_parser,
     main,
 )
-from spinbath.config import ExperimentConfig
+from spinbath.config import COMMANDS, ExperimentConfig
 from spinbath.engine import _even_step
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, out_dir):
     return main([*args, "--out", str(out_dir)])
+
+
+def subcommand_parsers() -> dict:
+    action = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def readme_command_lines() -> list[list[str]]:
+    """Argv of every ``spinbath ...`` line inside the README's fenced blocks."""
+    lines, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("spinbath "):
+            lines.append(shlex.split(line)[1:])
+    return lines
 
 
 def _fmt_reference(value) -> str:
@@ -97,12 +123,13 @@ class TestCsvFormat:
         assert float(sup) > 0.9
 
 
-    @pytest.mark.parametrize("rows", [0, 1, 7])
+    # The last count spans two full row blocks and a remainder.
+    @pytest.mark.parametrize("rows", [0, 1, 7, 2 * _CSV_BLOCK_ROWS + 3])
     def test_writer_matches_per_value_reference(self, tmp_path, rows):
         special = [-0.0, 5e-324, 1e308, math.inf, -math.inf, 0.1, -2.5e-300]
         floats = np.array(special + [math.pi * k for k in range(rows)])[:rows]
         columns = (
-            [10**k for k in range(rows)],
+            [10 ** (k % 19) for k in range(rows)],
             floats,
             floats[::-1] / 3.0,
             [bool(k % 2) for k in range(rows)],
@@ -240,6 +267,46 @@ class TestConfigHandling:
         ).read_bytes()
 
 
+class TestFlagTable:
+    def test_every_command_has_a_parser(self):
+        assert sorted(subcommand_parsers()) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flags_are_the_fields_read(self, command):
+        sub = subcommand_parsers()[command]
+        dests = {action.dest for action in sub._actions if action.dest != "help"}
+        assert dests == {*COMMANDS[command], "config", "out"}
+
+    def test_readme_command_lines_parse(self):
+        lines = readme_command_lines()
+        assert sorted(argv[0] for argv in lines) == sorted(COMMANDS)
+        for argv in lines:
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-n", "--a-re", "0.6"],
+            ["simulate-r", "--coeff-dist", "uniform"],
+            ["recurrence", "--g-dist", "uniform"],
+            ["timescale", "--seed", "3"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(args, out) == EXIT_INVALID
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"command": "sweep-n", "n_list": [5], "a_re": 0.6}))
+        out = tmp_path / "out"
+        assert main(["sweep-n", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INVALID
+        assert "sweep-n does not read a_re" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["does-not-exist"]) == EXIT_INVALID
@@ -297,6 +364,12 @@ class TestConfigObject:
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(command="simulate-r", theta=1.5)
+            ExperimentConfig(command="sweep-n", theta=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(command="nope")
+
+    def test_unread_field_must_keep_its_default(self):
+        with pytest.raises(ValueError, match="timescale does not read seed, points"):
+            ExperimentConfig(command="timescale", seed=3, points=10)
+        default = ExperimentConfig(command="timescale")
+        assert ExperimentConfig(command="timescale", seed=0).digest == default.digest

@@ -16,8 +16,6 @@ from spinbath.engine import (
     _even_step,
     _expectation_products,
     expectation,
-    gamma0,
-    gamma1,
     overlap_r,
     r_squared_bounds,
     reduced_system_state,
@@ -47,26 +45,38 @@ def equal_superposition_model(n_sites, g=1.0):
     return make_model(INV, INV, [(INV, INV, g)] * n_sites)
 
 
+def gamma0(model, obs, t):
+    """Population-sector product at t (real), one value per time."""
+    return _expectation_products(model, obs, np.atleast_1d(t))[0]
+
+
+def gamma1(model, obs, t):
+    """Coherence-sector product at t (complex), one value per time."""
+    return _expectation_products(model, obs, np.atleast_1d(t))[2]
+
+
 class TestGamma0:
     def test_identity_sites_give_one(self):
         model = sample_model(7, 3)
         obs = eid_observable(1.0, 0.5j, -1.0, 7)
         for t in (0.0, 2.3, -17.0):
-            assert gamma0(model, obs, t) == pytest.approx(1.0, abs=1e-12)
+            assert gamma0(model, obs, t)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_offdiagonal_factor_is_cosine(self):
         # One site, alpha = beta = 1/sqrt 2, pure up/down part: the factor is
         # 2 Re((1/2) e^(-i t)) = cos t.
         model = equal_superposition_model(1)
         obs = make_observable(IDENTITY_2, [OFFDIAG])
-        assert gamma0(model, obs, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert gamma0(model, obs, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-        assert gamma0(model, obs, 1.3) == pytest.approx(math.cos(1.3), abs=1e-12)
+        assert gamma0(model, obs, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert gamma0(model, obs, math.pi / 2)[0] == pytest.approx(0.0, abs=1e-12)
+        assert gamma0(model, obs, 1.3)[0] == pytest.approx(math.cos(1.3), abs=1e-12)
 
     def test_returns_real_scalar(self):
         model = sample_model(3, 0)
         obs = sample_observable(3, 1)
-        assert isinstance(gamma0(model, obs, 1.0), float)
+        out = gamma0(model, obs, 1.0)
+        assert out.shape == (1,)
+        assert out.dtype == np.float64
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="site"):
@@ -77,17 +87,17 @@ class TestGamma1:
     def test_identity_sites_at_zero(self):
         model = sample_model(5, 2)
         obs = eid_observable(1.0, 0.0, 0.0, 5)
-        assert gamma1(model, obs, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert gamma1(model, obs, 0.0)[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_single_up_site_is_pure_phase(self):
         model = make_model(INV, INV, [(1.0, 0.0, 2.0)])
         obs = eid_observable(1.0, 0.0, 0.0, 1)
-        assert gamma1(model, obs, 0.5) == pytest.approx(np.exp(1.0j), abs=1e-12)
+        assert gamma1(model, obs, 0.5)[0] == pytest.approx(np.exp(1.0j), abs=1e-12)
 
     def test_two_sites_squared_cosine(self):
         model = equal_superposition_model(2)
         obs = eid_observable(1.0, 0.0, 0.0, 2)
-        assert gamma1(model, obs, math.pi) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert gamma1(model, obs, math.pi)[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_identity_sites_match_overlap(self):
         model = sample_model(9, 5)
@@ -125,7 +135,7 @@ class TestExpectation:
             factored = (
                 abs(model.a) ** 2 * s00
                 + abs(model.b) ** 2 * s11
-                + 2.0 * np.real(model.a * np.conj(model.b) * np.conj(s01) * gamma1(model, obs, t))
+                + 2.0 * np.real(model.a * np.conj(model.b) * np.conj(s01) * gamma1(model, obs, t)[0])
             )
             assert direct == pytest.approx(factored, abs=1e-12)
 
@@ -317,7 +327,7 @@ class TestStableProducts:
         model = make_model(INV, INV, sites)
         parts = [np.array([[0.0, 0.0], [0.0, 1.0]])] + [IDENTITY_2] * 69
         obs = make_observable(IDENTITY_2, parts)
-        assert gamma0(model, obs, 0.3) == 0.0
+        assert gamma0(model, obs, 0.3)[0] == 0.0
 
     def test_underflow_is_gradual(self):
         # 1200 equal balanced sites at t = 1: each overlap factor is cos 1, and
@@ -337,7 +347,7 @@ class TestStableProducts:
         scales = (1e200, 1e200, 1e-200, 1e-200)
         obs = make_observable(SIGMA_X, [s * IDENTITY_2 for s in scales])
         plain = eid_observable(0.0, 1.0, 0.0, 4)
-        assert gamma0(model, obs, 0.7) == pytest.approx(1.0)
+        assert gamma0(model, obs, 0.7)[0] == pytest.approx(1.0)
         value = expectation(model, obs, 0.7)
         assert math.isfinite(value)
         assert value == pytest.approx(expectation(model, plain, 0.7))

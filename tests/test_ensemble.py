@@ -168,12 +168,6 @@ class TestSampleModel:
         assert np.array_equal(large.betas[:20], small.betas)
         assert np.array_equal(large.couplings[:20], small.couplings)
 
-    def test_unknown_distribution_names(self):
-        with pytest.raises(ValueError, match="unknown coefficient distribution"):
-            sample_model(3, 0, coeff_dist="gauss")
-        with pytest.raises(ValueError, match="unknown coupling distribution"):
-            sample_model(3, 0, g_dist="lorentz")
-
     def test_needs_a_site(self):
         with pytest.raises(ValueError, match="at least one site"):
             sample_model(0, 0)

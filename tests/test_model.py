@@ -109,7 +109,7 @@ class TestObservables:
         obs = eid_observable(1.0, 0.0, -1.0, 3)
         assert obs.n_sites == 3
         assert np.array_equal(obs.system_part, SIGMA_Z)
-        assert obs.is_identity_sites()
+        assert np.array_equal(obs.site_parts, [IDENTITY_2] * 3)
 
     def test_eid_sigma_x(self):
         obs = eid_observable(0.0, 1.0, 0.0, 1)
@@ -124,7 +124,7 @@ class TestObservables:
         assert np.array_equal(obs.system_part, IDENTITY_2)
         assert np.array_equal(obs.site_parts[0], SIGMA_Z)
         assert np.array_equal(obs.site_parts[1], IDENTITY_2)
-        assert not obs.is_identity_sites()
+        assert not np.array_equal(obs.site_parts, [IDENTITY_2] * 2)
 
     def test_single_site_index_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -134,7 +134,7 @@ class TestObservables:
 
     def test_single_site_identity_is_identity_observable(self):
         obs = single_site_observable(1, IDENTITY_2, 1)
-        assert obs.is_identity_sites()
+        assert np.array_equal(obs.site_parts, [IDENTITY_2])
 
     def test_make_observable_rejects_non_hermitian_system(self):
         bad = np.array([[1.0, 1.0j], [1.0j, 0.0]])
