@@ -5,8 +5,9 @@ dephasing interaction can be simulated two ways: a closed-form product over
 sites, linear in N, and a brute-force dense state vector, exponential in N.
 This package provides both, keeps them in agreement to 1e-10, and layers
 decoherence diagnostics, seeded ensembles and a reproducible experiment
-runner on top.  A runner config may set only the fields its subcommand reads
-(``config.COMMANDS``), so equal outputs carry equal config digests.
+runner on top.  A runner config may set only the fields that can change its
+subcommand's output (``config.COMMANDS``), so equal outputs carry equal
+config digests.
 """
 
 from .analysis import (

@@ -1,13 +1,13 @@
 """Command-line experiment runner with reproducible, digest-stamped outputs.
 
-Each subcommand offers one flag per config field its handler reads
+Each subcommand offers one flag per config field that can change its output
 (``config.COMMANDS``), plus --config and --out; a flag or config key for a
-field it does not read exits 1.  Precedence for every field: command-line
-flag, then config-file field, then the ExperimentConfig default.  Outputs
-land in --out, else $SPINBATH_OUT_DIR, else the working directory.  Data
-files carry no timestamps and use a fixed float rendering (17 significant
-digits, lowercase exponent), so replaying a config produces byte-identical
-files.
+field it does not read exits 1, and so does a config value of the wrong
+type.  Precedence for every field: command-line flag, then config-file
+field, then the ExperimentConfig default.  Outputs land in --out, else
+$SPINBATH_OUT_DIR, else the working directory.  Data files carry no
+timestamps and use a fixed float rendering (17 significant digits, lowercase
+exponent), so replaying a config produces byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 resource cap exceeded,
 3 I/O failure, 4 oracle check above tolerance.
@@ -98,7 +98,8 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _model(cfg: ExperimentConfig, seed: int | None = None) -> SpinBathModel:
-    return sample_model(cfg.n, seed if seed is not None else cfg.seed, a=cfg.a, b=cfg.b)
+    a, b = complex(cfg.a_re, cfg.a_im), complex(cfg.b_re, cfg.b_im)
+    return sample_model(cfg.n, seed if seed is not None else cfg.seed, a=a, b=b)
 
 
 def _time_grid(cfg: ExperimentConfig, model: SpinBathModel) -> np.ndarray:
@@ -123,7 +124,7 @@ def _cmd_simulate_r(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_simulate_obs(cfg: ExperimentConfig, out: Path) -> int:
     """observable expectation trajectory to CSV"""
     model = _model(cfg)
-    obs, _ = parse_observable_spec(cfg.obs, model.n_sites, cfg.eps)
+    obs = parse_observable_spec(cfg.obs, model.n_sites)
     times = _time_grid(cfg, model)
     values = expectation(model, obs, times)
     _write_csv(
@@ -137,9 +138,8 @@ def _cmd_simulate_obs(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_sweep_n(cfg: ExperimentConfig, out: Path) -> int:
     """decoherence verdicts across site counts"""
-    n_list = list(cfg.n_list) if cfg.n_list is not None else [cfg.n]
     rows = n_scaling_sweep(
-        n_list,
+        cfg.n_list,
         cfg.seed,
         threshold=cfg.theta,
         window=cfg.window,
@@ -217,7 +217,7 @@ def _cmd_oracle_check(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_recurrence(cfg: ExperimentConfig, out: Path) -> int:
     """revival at the common period of commensurate couplings"""
-    model = commensurate_model(cfg.n, cfg.g_base, cfg.seed, a=cfg.a, b=cfg.b)
+    model = commensurate_model(cfg.n, cfg.g_base, cfg.seed)
     t_rec = 2.0 * np.pi / cfg.g_base
     abs_r = recurrence_check(model, t_rec)
     _write_json(
@@ -332,7 +332,6 @@ _FLAGS = {
     "theta": ("--theta", float, "decoherence threshold"),
     "window": ("--window", float, "hold window (default 20 / gbar)"),
     "obs": ("--obs", str, "observable spec: eid:... | single-site:... | random:..."),
-    "eps": ("--eps", str, "site part for single-site specs (name or 4 numbers)"),
     "g_base": ("--g-base", float, "base coupling; site j couples at j * g_base"),
     "v1_ev": ("--v1", float, "first interaction strength (eV)"),
     "v2_ev": ("--v2", float, "second interaction strength (eV)"),
@@ -342,7 +341,7 @@ _FLAGS = {
     "samples": ("--samples", int, "random time samples in the window"),
     "t0": ("--t0", float, "window start (default 50 / gbar)"),
     "t1": ("--t1", float, "window end (default 550 / gbar)"),
-    "site_cap": ("--site-cap", int, "dense-state memory guard override"),
+    "site_cap": ("--site-cap", int, "dense-state memory guard override (not in the digest)"),
 }
 
 
@@ -354,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, reads in COMMANDS.items():
-        sub = subs.add_parser(command, parents=[common], help=_HANDLERS[command].__doc__)
+        # No prefix matching: sweep-n refuses --n rather than read it as --n-list.
+        summary = _HANDLERS[command].__doc__
+        sub = subs.add_parser(command, parents=[common], allow_abbrev=False, help=summary)
         for name in reads:
             flag, kind, text = _FLAGS[name]
             sub.add_argument(flag, dest=name, type=kind, help=text)
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
     data.update({k: v for k, v in options.items() if v is not None})
     try:
         cfg = config_from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return run(cfg)

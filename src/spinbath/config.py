@@ -2,17 +2,19 @@
 
 A config is one flat key-value document; command-line flags override file
 fields, which override the defaults below.  ``COMMANDS`` names, for each
-subcommand, the fields its handler reads; every other field must stay at its
-default.  The digest is the SHA-256 of the canonical serialization (sorted
-keys, compact separators) of every field except the output path, so the same
-experiment keeps the same digest wherever its results land, and two runs with
-equal outputs carry equal digests.  Every output file embeds that digest.
+subcommand, the fields that can change its output; every other field must
+stay at its default.  The digest is the SHA-256 of the canonical
+serialization (sorted keys, compact separators) of every field except the
+output path and the dense-state site cap, which say where a run lands and
+what memory it may take, so two runs with equal outputs carry equal digests.
+Every output file embeds that digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Any
 
@@ -23,15 +25,33 @@ from .model import PAULI_BY_NAME, RelevantObservable, eid_observable, single_sit
 
 _MODEL_FIELDS = ("n", "seed", "a_re", "a_im", "b_re", "b_im")
 
-# The fields each subcommand's handler reads, in the order its flags are listed.
+# The fields each subcommand's handler reads, in the order its flags are
+# listed.  simulate-r, recurrence and fluctuation write only the bath overlap,
+# which does not depend on the probe amplitudes, so they do not read them.
 COMMANDS = {
-    "simulate-r": _MODEL_FIELDS + ("t_max", "points"),
-    "simulate-obs": _MODEL_FIELDS + ("t_max", "points", "obs", "eps"),
-    "sweep-n": ("n", "n_list", "seed", "n_seeds", "theta", "window", "t_max", "points"),
+    "simulate-r": ("n", "seed", "t_max", "points"),
+    "simulate-obs": _MODEL_FIELDS + ("t_max", "points", "obs"),
+    "sweep-n": ("n_list", "seed", "n_seeds", "theta", "window", "t_max", "points"),
     "oracle-check": _MODEL_FIELDS + ("trials", "tol", "site_cap"),
-    "recurrence": _MODEL_FIELDS + ("g_base",),
+    "recurrence": ("n", "seed", "g_base"),
     "timescale": ("v1_ev", "v2_ev"),
-    "fluctuation": _MODEL_FIELDS + ("samples", "t0", "t1"),
+    "fluctuation": ("n", "seed", "samples", "t0", "t1"),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Field annotation -> (test a value must pass, its stored form).
+_FIELD_TYPES = {
+    "int": (_is_int, int),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), float),
+    "str": (lambda v: isinstance(v, str), str),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+        lambda v: tuple(map(int, v)),
+    ),
 }
 
 
@@ -39,16 +59,17 @@ COMMANDS = {
 class ExperimentConfig:
     """All knobs of one reproducible run, in one flat namespace.
 
-    A field that ``COMMANDS`` does not list for ``command`` must keep its
-    default, so a config cannot set a knob its run ignores.  Fields that
-    default to None are derived from the model's mean coupling gbar at run
-    time: t_max becomes 100/gbar, window 20/gbar, and the averaging interval
-    (t0, t1) becomes (50/gbar, 550/gbar).
+    Every value must have its field's type (an int field takes no bool, a
+    float field takes an int); a field that ``COMMANDS`` does not list for
+    ``command`` must keep its default, so a config cannot set a knob its run
+    ignores.  Fields that default to None are derived from the model's mean
+    coupling gbar at run time: t_max becomes 100/gbar, window 20/gbar, and the
+    averaging interval (t0, t1) becomes (50/gbar, 550/gbar).
     """
 
     command: str
     n: int = 20
-    n_list: tuple[int, ...] | None = None
+    n_list: tuple[int, ...] = (20,)
     seed: int = 0
     a_re: float = DEFAULT_AMPLITUDE
     a_im: float = 0.0
@@ -59,7 +80,6 @@ class ExperimentConfig:
     theta: float = 0.1
     window: float | None = None
     obs: str = "eid:1,0,0,-1"
-    eps: str | None = None
     g_base: float = 1.0
     v1_ev: float = 1e23
     v2_ev: float = 1.0
@@ -73,6 +93,15 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            check, coerce = _FIELD_TYPES[kind]
+            if not check(value):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
+            object.__setattr__(self, f.name, coerce(value))
         if self.command not in COMMANDS:
             raise ValueError(
                 f"unknown command {self.command!r}; known: {', '.join(COMMANDS)}"
@@ -85,10 +114,8 @@ class ExperimentConfig:
         ]
         if unread:
             raise ValueError(f"{self.command} does not read {', '.join(unread)}")
-        if self.n_list is not None:
-            object.__setattr__(self, "n_list", tuple(int(x) for x in self.n_list))
-            if not self.n_list or any(x < 1 for x in self.n_list):
-                raise ValueError("n_list must be a non-empty list of positive counts")
+        if not self.n_list or any(x < 1 for x in self.n_list):
+            raise ValueError("n_list must be a non-empty list of positive counts")
         if self.n < 1:
             raise ValueError("site count must be at least 1")
         if self.points < 2:
@@ -107,24 +134,12 @@ class ExperimentConfig:
         if self.samples < 100:
             raise ValueError("need at least 100 averaging samples")
 
-    @property
-    def a(self) -> complex:
-        return complex(self.a_re, self.a_im)
-
-    @property
-    def b(self) -> complex:
-        return complex(self.b_re, self.b_im)
-
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        if d["n_list"] is not None:
-            d["n_list"] = list(d["n_list"])
-        return d
+        return {**asdict(self), "n_list": list(self.n_list)}
 
     def canonical_json(self) -> str:
-        """Serialization that defines identity; the output path is excluded."""
-        d = self.to_dict()
-        d.pop("out")
+        """Serialization that defines identity; the output path and site cap are excluded."""
+        d = {k: v for k, v in self.to_dict().items() if k not in ("out", "site_cap")}
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @property
@@ -173,36 +188,31 @@ def _parse_site_part(text: str) -> np.ndarray:
     return np.array([[e00, off], [np.conj(off), e11]])
 
 
-def parse_observable_spec(
-    spec: str, n_sites: int, eps_default: str | None = None
-) -> tuple[RelevantObservable, int | None]:
+def parse_observable_spec(spec: str, n_sites: int) -> RelevantObservable:
     """Resolve an observable spec string against a model size.
 
     Grammar:  ``eid:s00,s01re,s01im,s11`` for an identity-on-every-site
     observable, ``single-site:<j>`` or ``single-site:<j>:<part>`` for a probe
-    on bath site j alone (part is a Pauli name or four numbers; an omitted
-    part falls back to eps_default, then to sz), and ``random:<seed>`` for a
-    seeded random Hermitian product.  Returns the observable and, for the
-    single-site case, the site index.
+    on bath site j alone (part is a Pauli name or four numbers, sz when
+    omitted), and ``random:<seed>`` for a seeded random Hermitian product.
     """
     kind, _, rest = spec.partition(":")
     if kind == "eid":
         s00, s01re, s01im, s11 = _parse_floats(rest, 4, "eid spec")
-        return eid_observable(s00, complex(s01re, s01im), s11, n_sites), None
+        return eid_observable(s00, complex(s01re, s01im), s11, n_sites)
     if kind == "single-site":
         site_text, _, part_text = rest.partition(":")
         try:
             j = int(site_text)
         except ValueError:
             raise ValueError(f"single-site index must be an integer, got {site_text!r}") from None
-        part = _parse_site_part(part_text or eps_default or "sz")
-        return single_site_observable(j, part, n_sites), j
+        return single_site_observable(j, _parse_site_part(part_text or "sz"), n_sites)
     if kind == "random":
         try:
             obs_seed = int(rest)
         except ValueError:
             raise ValueError(f"random observable needs an integer seed, got {rest!r}") from None
-        return sample_observable(n_sites, obs_seed), None
+        return sample_observable(n_sites, obs_seed)
     raise ValueError(
         f"unknown observable kind {kind!r}; use eid:..., single-site:... or random:..."
     )

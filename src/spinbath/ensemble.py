@@ -163,24 +163,20 @@ def _site_table(raw: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     return np.stack([np.sqrt(u), np.sqrt(1.0 - u) * np.exp(1j * phi), couplings], axis=1)
 
 
-def commensurate_model(
-    n_sites: int,
-    g_base: float,
-    seed: int,
-    a: complex = DEFAULT_AMPLITUDE,
-    b: complex = DEFAULT_AMPLITUDE,
-) -> SpinBathModel:
+def commensurate_model(n_sites: int, g_base: float, seed: int) -> SpinBathModel:
     """Random site coefficients but exactly commensurate couplings g_j = j g_base.
 
     Every bath frequency then divides 2 pi / g_base, so the overlap revives
     fully at that period.  The coefficient draws reuse the sample_model
     streams (u and phase come first in the draw order, so they coincide with
-    the random-coupling model at the same seed).
+    the random-coupling model at the same seed).  Both probe amplitudes are
+    1/sqrt(2); the overlap does not depend on them.
     """
     if not (np.isfinite(g_base) and g_base > 0.0):
         raise ValueError("base coupling must be positive and finite")
     raw = _contract_draws(n_sites, seed, 2)
-    return make_model(a, b, _site_table(raw, np.arange(1, n_sites + 1) * float(g_base)))
+    couplings = np.arange(1, n_sites + 1) * float(g_base)
+    return make_model(DEFAULT_AMPLITUDE, DEFAULT_AMPLITUDE, _site_table(raw, couplings))
 
 
 def sample_observable(n_sites: int, seed: int) -> RelevantObservable:

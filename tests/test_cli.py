@@ -98,9 +98,7 @@ class TestCsvFormat:
                 "--points",
                 "80",
                 "--obs",
-                "single-site:3",
-                "--eps",
-                "sz",
+                "single-site:3:sz",
             ],
             tmp_path,
         )
@@ -290,6 +288,11 @@ class TestFlagTable:
             ["simulate-r", "--coeff-dist", "uniform"],
             ["recurrence", "--g-dist", "uniform"],
             ["timescale", "--seed", "3"],
+            ["simulate-r", "--a-re", "0.6"],
+            ["recurrence", "--b-re", "0.8"],
+            ["fluctuation", "--a-im", "0.1"],
+            ["simulate-obs", "--eps", "sx"],
+            ["sweep-n", "--n", "7"],
         ],
     )
     def test_flag_the_command_does_not_read(self, tmp_path, capsys, args):
@@ -305,6 +308,112 @@ class TestFlagTable:
         assert main(["sweep-n", "--config", str(cfg_path), "--out", str(out)]) == EXIT_INVALID
         assert "sweep-n does not read a_re" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"command": "simulate-r", "n": "5"}, "n"),
+            ({"command": "simulate-r", "n": 2.5}, "n"),
+            ({"command": "simulate-r", "seed": True}, "seed"),
+            ({"command": "sweep-n", "n_list": [2.7, 3]}, "n_list"),
+            ({"command": "sweep-n", "n_list": 3}, "n_list"),
+            ({"command": "recurrence", "g_base": "1.0"}, "g_base"),
+            ({"command": "simulate-obs", "obs": 3}, "obs"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([doc["command"], "--config", str(cfg_path), "--out", str(out)]) == EXIT_INVALID
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_field_takes_an_integer(self):
+        as_int = ExperimentConfig(command="recurrence", g_base=2)
+        assert as_int.g_base == 2.0 and isinstance(as_int.g_base, float)
+        assert as_int.digest == ExperimentConfig(command="recurrence", g_base=2.0).digest
+
+
+# A small run of each subcommand, and for each field it reads a move off that
+# run.  Amplitudes move in pairs, so the probe stays normalized.
+BASE_RUNS = {
+    "simulate-r": {"n": 4, "points": 20},
+    "simulate-obs": {"n": 4, "points": 20, "obs": "eid:1,0.5,-0.25,-1"},
+    "sweep-n": {"n_list": (20,), "n_seeds": 1, "points": 200},
+    "oracle-check": {"n": 3, "trials": 2},
+    "recurrence": {"n": 5},
+    "timescale": {},
+    "fluctuation": {"n": 5, "samples": 100},
+}
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+MOVES = {
+    "n": {"n": 6},
+    "n_list": {"n_list": (20, 21)},
+    "seed": {"seed": 1},
+    "a_re": {"a_re": 0.6, "b_re": 0.8},
+    "a_im": {"a_re": 0.0, "a_im": INV_SQRT2},
+    "b_re": {"a_re": 0.8, "b_re": 0.6},
+    "b_im": {"b_re": 0.0, "b_im": INV_SQRT2},
+    "t_max": {"t_max": 120.0},
+    "points": {"points": 21},
+    "theta": {"theta": 0.3},
+    "window": {"window": 5.0},
+    "obs": {"obs": "single-site:2:sx"},
+    "trials": {"trials": 3},
+    "tol": {"tol": 1e-9},
+    "g_base": {"g_base": 2.0},
+    "v1_ev": {"v1_ev": 1e20},
+    "v2_ev": {"v2_ev": 2.0},
+    "n_seeds": {"n_seeds": 2},
+    "samples": {"samples": 150},
+    "t0": {"t0": 10.0},
+    "t1": {"t1": 700.0},
+}
+
+
+def run_config(out: Path, command: str, **fields) -> dict:
+    """Run one config into ``out``; return each written file's bytes."""
+    assert cli.run(ExperimentConfig(command=command, out=str(out), **fields)) == EXIT_OK
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def without_digest(files: dict) -> dict:
+    """CSV bodies below the two comment lines; JSON documents less their digest."""
+    data = {}
+    for name, raw in files.items():
+        if name.endswith(".json"):
+            data[name] = {k: v for k, v in json.loads(raw).items() if k != "config_digest"}
+        else:
+            data[name] = raw.split(b"\n", 2)[2]
+    return data
+
+
+class TestReadTable:
+    """Every field a subcommand reads can move its output; nothing else enters the digest."""
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [(c, f) for c, reads in COMMANDS.items() for f in reads if f != "site_cap"],
+    )
+    def test_each_field_read_moves_the_data(self, tmp_path, command, field):
+        base = run_config(tmp_path / "base", command, **BASE_RUNS[command])
+        moved = run_config(tmp_path / "moved", command, **{**BASE_RUNS[command], **MOVES[field]})
+        assert without_digest(moved) != without_digest(base)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_moves_neither_data_nor_digest(self, tmp_path, command):
+        first = run_config(tmp_path / "a", command, **BASE_RUNS[command])
+        assert run_config(tmp_path / "b", command, **BASE_RUNS[command]) == first
+
+    def test_site_cap_moves_neither_data_nor_digest(self, tmp_path):
+        base = BASE_RUNS["oracle-check"]
+        first = run_config(tmp_path / "a", "oracle-check", **base)
+        assert run_config(tmp_path / "b", "oracle-check", **base, site_cap=30) == first
+        args = ["oracle-check", "--site-cap", "30", "--trials", "1"]
+        assert run_cli(args, tmp_path / "c") == EXIT_OK
+        written = json.loads((tmp_path / "c" / "oracle_check.json").read_text())
+        assert written["config_digest"] == ExperimentConfig(command="oracle-check", trials=1).digest
 
 
 class TestExitCodes:
@@ -331,6 +440,14 @@ class TestExitCodes:
     def test_site_cap_maps_to_resource_code(self, tmp_path, capsys):
         code = run_cli(["oracle-check", "--n", "30", "--trials", "1"], tmp_path)
         assert code == EXIT_RESOURCE_CAP
+
+    def test_amplitudes_off_unit_norm_are_rejected(self, tmp_path, capsys):
+        # |a|^2 + |b|^2 is 1 - 5.3e-10 here: too far off for the dense state's
+        # norm check, so the model must not be accepted in the first place.
+        args = ["oracle-check", "--n", "6", "--a-re", "0.707106781", "--b-re", "0.707106781"]
+        assert run_cli(args, tmp_path / "out") == EXIT_INVALID
+        assert "not normalized" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["simulate-r", "--config", str(tmp_path / "nope.json")])

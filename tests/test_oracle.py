@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 import spinbath.oracle
 from spinbath.engine import expectation, overlap_r, reduced_system_state
 from spinbath.ensemble import sample_model, sample_observable
-from spinbath.model import IDENTITY_2, SIGMA_Z, RelevantObservable, eid_observable, make_model
+from spinbath.model import (
+    IDENTITY_2,
+    NORM_TOL,
+    SIGMA_Z,
+    RelevantObservable,
+    eid_observable,
+    make_model,
+)
 from spinbath.oracle import (
     DenseState,
     SiteCapError,
@@ -86,6 +93,42 @@ class TestDenseStateInvariants:
         assert amps.flags.writeable
         amps[0] = 0.0
         assert state.amplitudes[0] == 1.0 / math.sqrt(8)
+
+
+def edge_model(sign: float, n_sites: int):
+    """A model whose every amplitude pair deviates from unit norm by nearly
+    NORM_TOL, in the direction of ``sign``: the scale starts at the exact edge
+    and steps toward 1 one ulp at a time until make_model accepts."""
+    base = sample_model(n_sites, 3)
+    scale = math.sqrt(1.0 + sign * NORM_TOL)
+    while True:
+        try:
+            return make_model(
+                scale * base.a,
+                scale * base.b,
+                np.column_stack([scale * base.alphas, scale * base.betas, base.couplings]),
+            )
+        except ValueError:
+            scale = float(np.nextafter(scale, 1.0))
+
+
+class TestNormalizationTolerance:
+    """Models make_model accepts pass the dense and reduced state checks."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_sites", [6, 24])
+    def test_largest_accepted_deviation(self, sign, n_sites):
+        model = edge_model(sign, n_sites)
+        deviations = [abs(model.a) ** 2 + abs(model.b) ** 2 - 1.0]
+        deviations += list(np.abs(model.alphas) ** 2 + np.abs(model.betas) ** 2 - 1.0)
+        assert all(0.9 * NORM_TOL <= sign * d <= NORM_TOL for d in deviations)
+        for t in (0.0, 0.7, 3.1):
+            reduced_system_state(model, t)
+        # 24 sites is the dense oracle's default cap; that state takes 512 MiB.
+        if n_sites <= 6:
+            state = build_initial(model)
+            for t in (0.7, 3.1):
+                evolve(state, model, t)
 
 
 class TestEvolve:
