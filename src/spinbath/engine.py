@@ -3,13 +3,21 @@
 Because the coupling Hamiltonian is diagonal in the up/down product basis,
 every product-form observable has an expectation value that factorizes into
 one 2x2 contraction per site.  This module evaluates those per-site factors
-and multiplies them with one separate-exponent product: each factor is split
-into a mantissa and a power of two, mantissas are multiplied in site blocks
-and the exponent is carried as an integer, so a product is a correctly scaled
-double however many sites it spans.  Results underflow gradually the way
-IEEE doubles do: subnormal where the true value is, exactly 0 only below
-2^-1074.  Factors are built one tile of sites x times at a time, so a call
-holds O(N + T) memory, never an (N, T) matrix.
+and multiplies them with one separate-exponent product.  Each site's
+coefficients are first divided by 2^e, the least power of two at or above a
+closed-form bound on that site's factor, so every factor has modulus at most
+1 and the integer sum of the e is carried apart.  Factors are multiplied in
+site blocks into a running mantissa that is renormalized after every block,
+its power of two carried as an integer, so a product is a correctly scaled
+double however many sites it spans.  A power-of-two scale is exact and a
+partial product within a block can only shrink, so a block product that
+stays above 2^-960 is exactly what multiplying frexp mantissas would give.
+The few time points whose block product falls below that floor, or to 0, are
+recomputed from factors split one by one into mantissa and exponent.
+Results underflow gradually the way IEEE doubles do: subnormal where the
+true value is, exactly 0 only below 2^-1074.  Factors are built one tile of
+at most 2^14 site-times at a time (16 sites x 1024 times on a long grid), so
+a call holds O(N + T) memory, never an (N, T) matrix.
 
 Every factor depends on time only through the rotation e^(i g t) of its
 site.  When the times form an evenly spaced grid (every t_k within
@@ -17,8 +25,8 @@ site.  When the times form an evenly spaced grid (every t_k within
 angle addition: runs of b = isqrt(tile width) points share one cos/sin at
 the run's first, actual time, each offset p within a run has one cos/sin of
 g p h, and the rotation at every point is their complex product.  A tile of
-width 2000 (b = 44) thus takes 46 + 44 cos/sin pairs per site instead of
-2000.  This moves each phase by at most about |g| 4 ulp(max |t|), the same
+width 1024 (b = 32) thus takes 32 + 32 cos/sin pairs per site instead of
+1024.  This moves each phase by at most about |g| 4 ulp(max |t|), the same
 order as the rounding of g t itself.  Any other grid, and a scalar time,
 takes cos and sin of every g t directly and gives exactly the values a
 direct evaluation gives.
@@ -36,15 +44,32 @@ import numpy as np
 
 from .model import RelevantObservable, SpinBathModel, _check_hermitian
 
-# Factors are built and multiplied in tiles of at most _TILE_ELEMENTS
-# (sites x times) and at most _TILE_SITES sites.  Every mantissa has its larger
-# component in [0.5, 1), so a product of _TILE_SITES of them stays above
-# 2^-1000, still a normal double, until the running product is renormalized.
-# A complex tile is 128 KiB.  At 2^14 elements glibc's malloc returns the
-# freed tiles to the system and faults them back in (70k minor faults per
-# overlap_r call at N = 10^4, T = 2000), which costs more than it saves.
-_TILE_ELEMENTS = 2**13
+# Factors are built and multiplied in tiles of at most _TILE_TIMES times and
+# _TILE_ELEMENTS (sites x times) elements, and at most _TILE_SITES sites: a
+# product of _TILE_SITES split mantissas, each with its larger component in
+# [0.5, 1), stays above 2^-1000, still a normal double.  Medians of 10
+# alternating rounds on a shared 2-core x86-64 machine, numpy 2.4: overlap_r
+# at N = 10^4, T = 2000; expectation at N = 48, T = 2e5; overlap_r at N = 30,
+# 300, 3000 and 10^4, T = 400; and the traced peak of _expectation_products at
+# N = 48, T = 2e5 (6.1 MiB of it the results).
+#
+#   elements  times x sites  overlap  expectation  T = 400  peak
+#   2^13      2000 x 4       0.394 s  0.421 s      0.112 s  7.05 MiB
+#   2^13      1024 x 8       0.381 s  0.396 s      0.111 s  6.99 MiB
+#   2^14      2000 x 8       0.338 s  0.390 s      0.094 s  7.80 MiB
+#   2^14      1024 x 16      0.325 s  0.343 s      0.092 s  7.75 MiB
+#   2^14       512 x 32      0.373 s  0.400 s      0.096 s  7.47 MiB
+#   2^14       256 x 64      0.353 s  0.402 s      0.102 s  7.33 MiB
+#   2^15      1024 x 32      0.310 s  0.328 s      0.092 s  8.73 MiB
+#
+# 2^15 holds more than the 2 MiB beside the results that
+# test_products_write_time_chunks_in_place allows.
+_TILE_ELEMENTS = 2**14
+_TILE_TIMES = 1024
 _TILE_SITES = 1000
+# A block product whose larger component is below _FLOOR may have passed
+# through the subnormal range; those points take the per-element split.
+_FLOOR = 2.0**-960
 
 
 @dataclass(frozen=True)
@@ -120,6 +145,13 @@ def _ldexp(x: np.ndarray, exponent: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
+def _magnitude(x: np.ndarray) -> np.ndarray:
+    """|x| for real x, the larger of |Re|, |Im| for complex x."""
+    if not np.iscomplexobj(x):
+        return np.abs(x)
+    return np.maximum(np.abs(x.real), np.abs(x.imag))
+
+
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x = mantissa * 2**exponent, the larger of |Re|, |Im| of the mantissa in [0.5, 1).
 
@@ -127,8 +159,49 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.iscomplexobj(x):
         return np.frexp(x)
-    _, exponent = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)))
+    _, exponent = np.frexp(_magnitude(x))
     return _ldexp(x, -exponent), exponent
+
+
+def _scale_rows(bound: np.ndarray, *coefficients: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """Each site's coefficients over 2^e, the least power of two >= its bound, and sum(e).
+
+    A power-of-two scale is exact, so a factor built from the scaled
+    coefficients is the true factor times 2^-e, with modulus at most 1.  The
+    scaled coefficients come back as (sites, 1) columns.
+    """
+    mantissa, exponent = np.frexp(bound)
+    exponent -= mantissa == 0.5
+    return int(exponent.sum()), [np.ldexp(c, -exponent)[:, None] for c in coefficients]
+
+
+def _fold(mantissa: np.ndarray, exponent: np.ndarray, block: np.ndarray) -> None:
+    """Multiply the product over the rows of ``block`` into a running product.
+
+    ``mantissa`` and ``exponent`` hold the running product per time point and
+    are updated in place; the mantissa is left with its larger component in
+    [0.5, 1).  Every factor in ``block`` has modulus at most 1, so a block
+    product above _FLOOR had only normal partial products and carries the
+    significands a per-element split would give.  Points below _FLOOR, or at
+    0, are recomputed from split factors, unless the running product is
+    already exactly 0 and stays so.
+    """
+    fold = block.prod(axis=0)
+    fold *= mantissa
+    magnitude = _magnitude(fold)
+    low = np.flatnonzero(magnitude < _FLOOR)
+    if low.size:
+        low = low[mantissa[low] != 0]
+        # take copies in the block's row-major layout, so numpy multiplies the
+        # rows with the loop the fast path used (bit for bit, for two or more
+        # points; one point alone may round its last bit differently).
+        parts, part_exponents = _split(block.take(low, axis=1))
+        fold[low] = parts.prod(axis=0) * mantissa[low]
+        exponent[low] += part_exponents.sum(axis=0)
+        magnitude[low] = _magnitude(fold[low])
+    _, carry = np.frexp(magnitude)
+    _ldexp(fold, -carry, out=mantissa)
+    exponent += carry
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -155,23 +228,31 @@ def _even_step(times: np.ndarray) -> float | None:
         return float(step) if np.all(np.abs(times - grid) <= slack) else None
 
 
-def _site_products(factors, couplings: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+def _site_products(
+    factors, couplings: np.ndarray, times: np.ndarray, exponents: tuple[int, ...]
+) -> list[np.ndarray]:
     """Products over all sites of each factor that ``factors`` builds.
 
     ``factors(sites, cos, sin)`` returns a tuple of (sites, times) arrays,
     real or complex, for a slice of sites given cos and sin of g t over a
     chunk of times; the result holds one array over ``times`` per tuple
-    entry.  Each running product keeps a mantissa and an integer exponent per
-    time point and is renormalized after every site block; the only rounding
-    to the double range is the final ldexp.
+    entry.  The factors must come from coefficients scaled by ``_scale_rows``,
+    so each has modulus at most 1, and ``exponents`` holds, per tuple entry,
+    the summed power of two that scaling took out.  Each running product keeps
+    a mantissa and an integer exponent per time point and is renormalized
+    after every site block by ``_fold``, which splits factors one by one only
+    at points whose block product left the normal range; the only rounding to
+    the double range is the final ldexp.
 
-    On an evenly spaced grid the rotation e^(i g t) is built by angle
-    addition: each run of b = isqrt(cols) points takes one coarse rotation at
-    its first, actual time and one fine rotation g p h per offset p, and
-    t_(qb+p) gets their product.  On any other grid b = 1 and cos, sin are
-    taken of every g t directly.
+    A tile spans at most _TILE_TIMES times and _TILE_ELEMENTS elements, so
+    1024 times take blocks of 16 sites and a scalar time blocks of
+    _TILE_SITES.  On an evenly spaced grid the rotation e^(i g t) is built by
+    angle addition: each run of b = isqrt(cols) points takes one coarse
+    rotation at its first, actual time and one fine rotation g p h per offset
+    p, and t_(qb+p) gets their product.  On any other grid b = 1 and cos, sin
+    are taken of every g t directly.
     """
-    cols = max(1, min(times.size, _TILE_ELEMENTS))
+    cols = max(1, min(times.size, _TILE_TIMES))
     rows = min(_TILE_SITES, _TILE_ELEMENTS // cols)
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
@@ -192,13 +273,12 @@ def _site_products(factors, couplings: np.ndarray, times: np.ndarray) -> list[np
                 cos, sin = rotation.real, rotation.imag
             blocks = factors(sites, cos, sin)
             if running is None:
-                running = [(np.ones(t.size, b.dtype), np.zeros(t.size, np.int64)) for b in blocks]
+                running = [
+                    (np.ones(t.size, b.dtype), np.full(t.size, e, np.int64))
+                    for b, e in zip(blocks, exponents)
+                ]
             for (mantissa, exponent), block in zip(running, blocks):
-                block_mantissa, block_exponent = _split(block)
-                mantissa *= block_mantissa.prod(axis=0)
-                mantissa[:], carry = _split(mantissa)
-                exponent += block_exponent.sum(axis=0)
-                exponent += carry
+                _fold(mantissa, exponent, block)
         if results is None:
             results = [np.empty(times.size, mantissa.dtype) for mantissa, _ in running]
         for (mantissa, exponent), result in zip(running, results):
@@ -222,19 +302,26 @@ def _expectation_products(
     w_up, w_down = _site_weights(model)
     up = w_up * obs.site_parts[:, 0, 0].real
     down = w_down * obs.site_parts[:, 1, 1].real
-    static, up_minus_down = (up + down)[:, None], (up - down)[:, None]
+    static, up_minus_down = up + down, up - down
     cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
-    cross_re, cross_im = 2.0 * cross.real[:, None], 2.0 * cross.imag[:, None]
+    cross_re, cross_im = 2.0 * cross.real, 2.0 * cross.imag
+    bound = np.abs(static) + np.abs(cross_re)
+    e0, (static0, cross_re0, cross_im0) = _scale_rows(
+        bound + np.abs(cross_im), static, cross_re, cross_im
+    )
+    e1, (static1, cross_re1, up_minus_down1) = _scale_rows(
+        bound + np.abs(up_minus_down), static, cross_re, up_minus_down
+    )
 
     def factors(sites, cos, sin):
-        even = static[sites] + cross_re[sites] * cos
-        odd = cross_im[sites] * sin
+        even = static0[sites] + cross_re0[sites] * cos
+        odd = cross_im0[sites] * sin
         g1 = np.empty(cos.shape, complex)
-        g1.real = static[sites] * cos + cross_re[sites]
-        g1.imag = up_minus_down[sites] * sin
+        g1.real = static1[sites] * cos + cross_re1[sites]
+        g1.imag = up_minus_down1[sites] * sin
         return even + odd, even - odd, g1
 
-    return _site_products(factors, model.couplings, times)
+    return _site_products(factors, model.couplings, times, (e0, e0, e1))
 
 
 def expectation(model: SpinBathModel, obs: RelevantObservable, t):
@@ -249,14 +336,21 @@ def expectation(model: SpinBathModel, obs: RelevantObservable, t):
     Matches the brute-force dense evaluation to machine precision.
     """
     times, scalar = _as_times(t)
-    plus, minus, coherence = _expectation_products(model, obs, times)
+    out, minus, coherence = _expectation_products(model, obs, times)
     s00 = obs.system_part[0, 0].real
     s11 = obs.system_part[1, 1].real
     s10 = obs.system_part[1, 0]
     a, b = complex(model.a), complex(model.b)
     w_a = a.real**2 + a.imag**2
     w_b = b.real**2 + b.imag**2
-    out = w_a * s00 * plus + w_b * s11 * minus + 2.0 * np.real(a * np.conj(b) * s10 * coherence)
+    weight = 2.0 * a * np.conj(b) * s10
+    # Combined in place in the product arrays: no T-length temporaries.
+    out *= w_a * s00
+    out += np.multiply(minus, w_b * s11, out=minus)
+    re, im = coherence.real, coherence.imag
+    re *= weight.real
+    re -= np.multiply(im, weight.imag, out=im)
+    out += re
     return float(out[0]) if scalar else out
 
 
@@ -268,7 +362,7 @@ def overlap_r(model: SpinBathModel, t):
     """
     times, scalar = _as_times(t)
     w_up, w_down = _site_weights(model)
-    w_sum, w_diff = (w_up + w_down)[:, None], (w_up - w_down)[:, None]
+    exponent, (w_sum, w_diff) = _scale_rows(w_up + w_down, w_up + w_down, w_up - w_down)
 
     def factors(sites, cos, sin):
         f = np.empty(cos.shape, complex)
@@ -276,7 +370,7 @@ def overlap_r(model: SpinBathModel, t):
         f.imag = w_diff[sites] * sin
         return (f,)
 
-    out = _site_products(factors, model.couplings, times)[0]
+    out = _site_products(factors, model.couplings, times, (exponent,))[0]
     return complex(out[0]) if scalar else out
 
 
@@ -287,8 +381,11 @@ def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
     the product is bracketed by (prod_i (2|alpha_i|^2 - 1)^2, 1).
     """
     w_up, _ = _site_weights(model)
-    per_site = ((2.0 * w_up - 1.0) ** 2)[:, None]
-    lower = _site_products(lambda sites, cos, sin: (per_site[sites],), model.couplings, np.zeros(1))
+    per_site = (2.0 * w_up - 1.0) ** 2
+    exponent, (scaled,) = _scale_rows(per_site, per_site)
+    lower = _site_products(
+        lambda sites, cos, sin: (scaled[sites],), model.couplings, np.zeros(1), (exponent,)
+    )
     return float(lower[0][0]), 1.0
 
 
@@ -323,10 +420,15 @@ def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:
     """State of the central qubit at time ``t`` after tracing out the bath.
 
     Populations are frozen at |a|^2, |b|^2; the coherence is the initial one
-    scaled by the bath-branch overlap:  rho01 = a conj(b) overlap_r(t).
-    The convention matches the dense partial trace entrywise.
+    scaled by the bath-branch overlap of the normalized site states:
+    rho01 = a conj(b) overlap_r(t) / prod_i (|alpha_i|^2 + |beta_i|^2).
+    Without that division the site norms, each within NORM_TOL of 1, would
+    push |rho01| past the populations' bound as N grows.  The convention
+    matches the dense partial trace entrywise, up to the site norms that the
+    dense state keeps.
     """
-    r = overlap_r(model, float(t))
+    w_up, w_down = _site_weights(model)
+    r = overlap_r(model, float(t)) / np.prod(w_up + w_down)
     a, b = complex(model.a), complex(model.b)
     coherence = a * np.conj(b) * r
     matrix = np.array(

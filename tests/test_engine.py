@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import engine
 from spinbath.engine import (
     _TILE_ELEMENTS,
+    _TILE_SITES,
+    _TILE_TIMES,
     ReducedState,
     _even_step,
     _expectation_products,
@@ -53,6 +56,25 @@ def gamma0(model, obs, t):
 def gamma1(model, obs, t):
     """Coherence-sector product at t (complex), one value per time."""
     return _expectation_products(model, obs, np.atleast_1d(t))[2]
+
+
+@pytest.fixture
+def fallback_points(monkeypatch):
+    """Counts the time points whose block products are recomputed from split factors.
+
+    The product kernel splits factors one by one only on that fallback, so
+    every split it makes is counted, once per time point, product and site
+    block.
+    """
+    count = [0]
+    split = engine._split
+
+    def counting_split(x):
+        count[0] += x.shape[-1]
+        return split(x)
+
+    monkeypatch.setattr(engine, "_split", counting_split)
+    return count
 
 
 class TestGamma0:
@@ -195,10 +217,12 @@ class TestOverlap:
 
 
 class TestBounds:
-    def test_balanced_sites_reach_zero(self):
+    def test_balanced_sites_reach_zero(self, fallback_points):
         # 0.5 +/- 0.5i amplitudes keep |alpha|^2 exactly one half in floats.
         model = make_model(INV, INV, [(0.5 + 0.5j, 0.5 - 0.5j, 1.0)] * 3)
         assert r_squared_bounds(model) == (0.0, 1.0)
+        # The exact zero factors send the product to the split fallback.
+        assert fallback_points[0] == 1
         assert r_squared_bounds(equal_superposition_model(3))[0] == pytest.approx(
             0.0, abs=1e-12
         )
@@ -307,9 +331,10 @@ class TestReducedState:
 
 class TestStableProducts:
     def test_log_path_matches_direct_product(self):
-        # Over 2000 time points a tile holds two sites, so these 70 sites are
-        # multiplied in 35 renormalized blocks; the same factors multiplied
-        # naively are still well inside double range, so both must agree.
+        # Over 2000 time points a tile holds 1024 times and 16 sites, so these
+        # 70 sites are multiplied in 5 renormalized blocks; the same factors
+        # multiplied naively are still well inside double range, so both must
+        # agree.
         model = sample_model(70, 40)
         times = np.linspace(0.0, 4.0, 2000)
         r = overlap_r(model, times)
@@ -320,7 +345,7 @@ class TestStableProducts:
             naive = np.prod(w_up * rotation + w_down / rotation)
             assert r[k] == pytest.approx(naive, abs=1e-12)
 
-    def test_exact_zero_factor_short_circuits(self):
+    def test_exact_zero_factor_short_circuits(self, fallback_points):
         # Site 1 points straight up and its observable part has no up-up
         # weight, so that factor is exactly 0 whatever the other sites give.
         sites = [(1.0, 0.0, 1.0)] + [(INV, INV, 1.0 + 0.01 * k) for k in range(69)]
@@ -328,8 +353,16 @@ class TestStableProducts:
         parts = [np.array([[0.0, 0.0], [0.0, 1.0]])] + [IDENTITY_2] * 69
         obs = make_observable(IDENTITY_2, parts)
         assert gamma0(model, obs, 0.3)[0] == 0.0
+        # A zero block product is not trusted as is: it takes the fallback,
+        # once for each of the three products.
+        assert fallback_points[0] == 3
+        # Over 2000 times the 70 sites span 5 blocks; only the first one, where
+        # the products reach exact 0, is recomputed.
+        times = np.linspace(0.0, 1.0, 2000)
+        assert all(not p.any() for p in _expectation_products(model, obs, times))
+        assert fallback_points[0] == 3 + 3 * times.size
 
-    def test_underflow_is_gradual(self):
+    def test_underflow_is_gradual(self, fallback_points):
         # 1200 equal balanced sites at t = 1: each overlap factor is cos 1, and
         # cos(1)^1200 = 1.457e-321 is a subnormal double, not zero.
         model = make_model(INV, INV, [(INV, INV, 1.0)] * 1200)
@@ -339,6 +372,17 @@ class TestStableProducts:
         # cos(1)^1300 = e^-800 lies below the smallest subnormal.
         model = make_model(INV, INV, [(INV, INV, 1.0)] * 1300)
         assert overlap_r(model, 1.0) == 0.0
+        # A scalar time takes blocks of _TILE_SITES sites, and cos(1)^1000 is
+        # about 2^-888, above the floor.  Factors of cos(pi/3) = 1/2 take the
+        # first block to 2^-1000, through the fallback, and 1070 of them
+        # multiply to 2^-1070, again a subnormal.
+        assert fallback_points[0] == 0
+        model = make_model(INV, INV, [(INV, INV, math.pi / 3)] * 1070)
+        value = overlap_r(model, 1.0)
+        expected = math.exp(1070 * math.log(math.cos(math.pi / 3) * (2 * INV * INV)))
+        assert 0.0 < expected < sys.float_info.min
+        assert abs(value - expected) <= 4 * math.ulp(0.0)
+        assert fallback_points[0] == 1
 
     def test_large_and_small_factors_balance(self):
         # Factors 1e200, 1e200, 1e-200, 1e-200 multiply to 1; no partial
@@ -351,6 +395,71 @@ class TestStableProducts:
         value = expectation(model, obs, 0.7)
         assert math.isfinite(value)
         assert value == pytest.approx(expectation(model, plain, 0.7))
+
+
+class TestSplitFallback:
+    """Block products that leave the normal range are recomputed from split factors."""
+
+    @staticmethod
+    def _products(model, obs, times):
+        return [overlap_r(model, times), r_squared_bounds(model)[0]] + _expectation_products(
+            model, obs, times
+        )
+
+    @pytest.mark.parametrize(
+        "model, obs, times",
+        [
+            (sample_model(70, 40), sample_observable(70, 41), np.linspace(0.0, 4.0, 2000)),
+            # Factors of 1e200 and 1e-200, scaled by their bounds.
+            (
+                equal_superposition_model(4),
+                make_observable(SIGMA_X, [s * IDENTITY_2 for s in (1e200, 1e200, 1e-200, 1e-200)]),
+                np.linspace(0.0, 1.4, 3),
+            ),
+        ],
+    )
+    def test_forced_fallback_is_bit_identical(self, monkeypatch, fallback_points, model, obs, times):
+        fast = self._products(model, obs, times)
+        assert fallback_points[0] == 0
+        # With an infinite floor every finite block product takes the fallback.
+        monkeypatch.setattr(engine, "_FLOOR", math.inf)
+        split = self._products(model, obs, times)
+        rows = min(_TILE_SITES, _TILE_ELEMENTS // min(times.size, _TILE_TIMES))
+        blocks = -(-model.n_sites // rows)
+        # Four products over every time point and every block, one envelope point.
+        assert fallback_points[0] == 4 * times.size * blocks + 1
+        for a, b in zip(fast, split):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("near_balanced", [1000, 2000])
+    def test_envelope_blocks_below_the_floor(self, fallback_points, near_balanced):
+        # (2u - 1)^2 = 1.02 * 2^-20 per near-balanced site: scaled by 2^-19 it
+        # is 0.51, and 0.51^1000 = 2^-971 in a block of _TILE_SITES sites, so
+        # each block of them takes the fallback.  The other sites have u = 1
+        # and factor 1.  The envelope, 2^-19971 or 2^-39943, rounds to 0.
+        assert _TILE_SITES == 1000
+        u = 0.5 * (1.0 + 2.0**-10 * math.sqrt(1.02))
+        sites = [(math.sqrt(u), math.sqrt(1.0 - u), 1.0)] * near_balanced
+        sites += [(1.0, 0.0, 1.0)] * (2000 - near_balanced)
+        model = make_model(INV, INV, sites)
+        lower, _ = r_squared_bounds(model)
+        assert fallback_points[0] == near_balanced // 1000
+        w_up = model.alphas.real**2 + model.alphas.imag**2
+        log2_lower = math.fsum(np.log2((2.0 * w_up - 1.0) ** 2))
+        assert log2_lower < -1074
+        assert lower == 0.0
+
+    def test_envelope_of_a_normal_value_through_the_fallback(self, fallback_points):
+        # 1000 sites of (2u - 1)^2 = 0.51 multiply to 2^-971.5, a normal double
+        # reached only through a block product below the floor.
+        u = 0.5 * (1.0 + math.sqrt(0.51))
+        model = make_model(INV, INV, [(math.sqrt(u), math.sqrt(1.0 - u), 1.0)] * 1000)
+        lower, _ = r_squared_bounds(model)
+        assert fallback_points[0] == 1
+        w_up = model.alphas.real**2 + model.alphas.imag**2
+        log_lower = math.fsum(np.log((2.0 * w_up - 1.0) ** 2))
+        assert sys.float_info.min < lower
+        assert math.log(lower) == pytest.approx(log_lower, rel=1e-13)
 
 
 # Natural logs of the smallest normal double and of 2^-1075, below which a
@@ -426,7 +535,7 @@ def test_expectation_memory_stays_bounded():
 
 
 def test_products_write_time_chunks_in_place():
-    # Three 8192-point chunks: the results (6.1 MiB for gamma0 at +-t and
+    # 196 chunks of 1024 points: the results (6.1 MiB for gamma0 at +-t and
     # gamma1) are allocated once and each chunk is written into them, with no
     # second copy from joining per-chunk pieces.
     model = sample_model(48, 0)
@@ -441,14 +550,32 @@ def test_products_write_time_chunks_in_place():
     assert peak < sum(r.nbytes for r in results) + 2 * 2**20
 
 
+def test_expectation_combines_products_in_place():
+    # The three products are combined inside their own arrays, so the
+    # expectation peaks no higher than the products it is built from.
+    model = sample_model(48, 0)
+    obs = sample_observable(48, 10**6)
+    times = np.linspace(0.0, 100.0 / model.mean_coupling, 200_000)
+    peaks = []
+    for f in (_expectation_products, expectation):
+        tracemalloc.start()
+        try:
+            f(model, obs, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 2**20
+
+
 def test_chunks_match_separate_calls():
-    # An uneven grid takes cos and sin of every g t, so each 8192-point chunk
-    # is exactly what a call over that chunk alone returns.
+    # An uneven grid takes cos and sin of every g t, so each _TILE_TIMES-point
+    # chunk is exactly what a call over that chunk alone returns.
     model = sample_model(3, 4)
     obs = sample_observable(3, 5)
-    times = np.sort(np.random.default_rng(6).uniform(0.0, 50.0, 2 * _TILE_ELEMENTS + 100))
+    times = np.sort(np.random.default_rng(6).uniform(0.0, 50.0, 2 * _TILE_TIMES + 100))
     assert _even_step(times) is None
-    chunks = [times[c : c + _TILE_ELEMENTS] for c in range(0, times.size, _TILE_ELEMENTS)]
+    chunks = [times[c : c + _TILE_TIMES] for c in range(0, times.size, _TILE_TIMES)]
     assert np.array_equal(overlap_r(model, times), np.concatenate([overlap_r(model, c) for c in chunks]))
     whole = _expectation_products(model, obs, times)
     parts = [_expectation_products(model, obs, c) for c in chunks]
@@ -540,7 +667,7 @@ class TestEvenGridRotation:
         assert _even_step(times) is not None
         assert _even_step(uneven) is None
         # One tile, so the engine multiplies sites in the reference's order.
-        assert model.n_sites * times.size <= _TILE_ELEMENTS
+        assert times.size <= _TILE_TIMES and model.n_sites * times.size <= _TILE_ELEMENTS
         r = overlap_r(model, uneven)
         assert np.array_equal(r, _outer_product_reference(model, uneven))
         even = overlap_r(model, times)

@@ -130,6 +130,17 @@ class TestNormalizationTolerance:
             for t in (0.7, 3.1):
                 evolve(state, model, t)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_sites", [48, 100])
+    def test_reduced_state_beyond_the_dense_cap(self, sign, n_sites):
+        # The site norms multiply to about 1 + sign N NORM_TOL; the coherence
+        # is taken over the normalized site states, so it stays within the
+        # populations' bound at any N.
+        model = edge_model(sign, n_sites)
+        for t in (0.0, 100.0 / model.mean_coupling):
+            state = reduced_system_state(model, t)
+            assert abs(state.rho01) ** 2 <= state.rho00 * state.rho11 * (1.0 + 1e-13)
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
