@@ -175,6 +175,12 @@ def _scale_rows(bound: np.ndarray, *coefficients: np.ndarray) -> tuple[int, list
     return int(exponent.sum()), [np.ldexp(c, -exponent)[:, None] for c in coefficients]
 
 
+def _row_product(block: np.ndarray) -> np.ndarray:
+    """Product over the rows, in row order at any width (a lone column goes in twice)."""
+    wide = np.repeat(block, 2, axis=1) if block.shape[1] == 1 else block
+    return wide.prod(axis=0)[: block.shape[1]]
+
+
 def _fold(mantissa: np.ndarray, exponent: np.ndarray, block: np.ndarray) -> None:
     """Multiply the product over the rows of ``block`` into a running product.
 
@@ -186,17 +192,14 @@ def _fold(mantissa: np.ndarray, exponent: np.ndarray, block: np.ndarray) -> None
     0, are recomputed from split factors, unless the running product is
     already exactly 0 and stays so.
     """
-    fold = block.prod(axis=0)
+    fold = _row_product(block)
     fold *= mantissa
     magnitude = _magnitude(fold)
     low = np.flatnonzero(magnitude < _FLOOR)
     if low.size:
         low = low[mantissa[low] != 0]
-        # take copies in the block's row-major layout, so numpy multiplies the
-        # rows with the loop the fast path used (bit for bit, for two or more
-        # points; one point alone may round its last bit differently).
         parts, part_exponents = _split(block.take(low, axis=1))
-        fold[low] = parts.prod(axis=0) * mantissa[low]
+        fold[low] = _row_product(parts) * mantissa[low]
         exponent[low] += part_exponents.sum(axis=0)
         magnitude[low] = _magnitude(fold[low])
     _, carry = np.frexp(magnitude)

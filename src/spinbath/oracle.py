@@ -10,6 +10,7 @@ The interaction is diagonal in the product basis, so evolution never mixes
 amplitudes; it only rotates their phases.  The sign convention is fixed once,
 by requiring that the up-branch bath state carry per-site factors
 alpha_i e^(+i g_i t / 2) and beta_i e^(-i g_i t / 2), and is asserted in tests.
+``propagator`` builds a model's field once, for the configurations with site 1 up.
 
 The observable is applied in blocks of up to ``_BLOCK_PARTS`` consecutive 2x2
 parts: their Kronecker product, a d x d matrix with d = 2^_BLOCK_PARTS, acts
@@ -20,15 +21,16 @@ block every axis is back in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .model import RelevantObservable, SpinBathModel
 
 # At the default cap a state is 2^25 complex doubles, 512 MiB.  evolve holds
-# the input, the rotated vector, its stored copy and 2^N real phases (about
-# 1.6 GiB); oracle_expectation holds the state and two working vectors
+# the input, the rotated vector and the 2^23 stored field values (about
+# 1.06 GiB); oracle_expectation holds the state and two working vectors
 # (1.5 GiB).  Raise site_cap explicitly on machines that can take more.
 DEFAULT_SITE_CAP = 24
 
@@ -51,15 +53,16 @@ class DenseState:
 
     The central qubit is the most significant bit; site j sits at bit
     ``n_sites - j``.  ``t`` records the time the amplitudes correspond to.
-    The amplitudes are a read-only copy of the array passed in.
+    The amplitudes are a read-only copy of the array passed in (with ``_fresh``, the array).
     """
 
     amplitudes: np.ndarray
     n_sites: int
     t: float
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+    def __post_init__(self, _fresh):
+        amps = self.amplitudes if _fresh else np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size != 2 ** (self.n_sites + 1) or amps.size < 4:
             raise ValueError("amplitude count must be 2^(n_sites + 1) with n_sites >= 1")
         if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
@@ -81,13 +84,12 @@ def _check_cap(n_sites: int, site_cap: int) -> None:
 
 
 def _site_field(model: SpinBathModel) -> np.ndarray:
-    """Sum of g_i * (+1 for up, -1 for down) for every bath configuration.
+    """Sum of g_i * (+1 for up, -1 for down) for each bath configuration with site 1 up.
 
-    Site 1 is the most significant of the N site bits, matching the kron
-    layout of build_initial.
+    Site 1 is the top bit, as in build_initial; the complements, reversed, have the negated sums.
     """
-    field = np.zeros(1)
-    for g in model.couplings:
+    field = model.couplings[:1]
+    for g in model.couplings[1:]:
         field = np.add.outer(field, np.array([g, -g])).ravel()
     return field
 
@@ -97,46 +99,51 @@ def build_initial(model: SpinBathModel, site_cap: int = DEFAULT_SITE_CAP) -> Den
     _check_cap(model.n_sites, site_cap)
     amps = np.array([model.a, model.b], dtype=complex)
     for alpha, beta in zip(model.alphas, model.betas):
-        amps = np.kron(amps, np.array([alpha, beta], dtype=complex))
-    return DenseState(amplitudes=amps, n_sites=model.n_sites, t=0.0)
+        amps = np.multiply.outer(amps, np.array([alpha, beta])).ravel()
+    return DenseState(amps, model.n_sites, 0.0, _fresh=True)
 
 
-def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
+def propagator(model: SpinBathModel) -> Callable[[DenseState, float], DenseState]:
+    """``evolve`` for one model, building its field once for all calls."""
+    field, n_sites = _site_field(model), model.n_sites
+
+    def propagate(state: DenseState, t: float) -> DenseState:
+        if state.n_sites != n_sites:
+            raise ValueError(f"state has {state.n_sites} sites, model has {n_sites}")
+        q = field.size
+        amps = np.empty(4 * q, dtype=complex)
+        phase = np.multiply(field, 0.5 * t, out=amps.imag[:q])
+        np.cos(phase, out=amps.real[:q])
+        np.sin(phase, out=phase)
+        np.conjugate(amps[q - 1 :: -1], out=amps[q : 2 * q])
+        np.conjugate(amps[: 2 * q], out=amps[2 * q :])
+        amps *= state.amplitudes
+        return DenseState(amps, n_sites, state.t + t, _fresh=True)
+
+    return propagate
+
+
+def evolve(state: DenseState, model: SpinBathModel | Callable, t: float) -> DenseState:
     """Advance the state by time ``t`` (relative to the state's own clock).
 
     Each amplitude picks up e^(i z_s field t / 2) where z = +1 on the up
     system branch and -1 on the down branch, and field is the signed coupling
-    sum of the bath configuration.  Diagonal, hence exactly unitary.  cos
-    and sin are taken once for each of the 2^N bath configurations; the down
-    branch uses their conjugate.
+    sum of the bath configuration.  Diagonal, hence exactly unitary.  cos and
+    sin are taken once per configuration with site 1 up; the complements
+    (negated field, mirrored order) and the down branch take conjugates.
+    ``model`` may be ``propagator(model)``, which keeps the field across calls.
     """
-    if model.n_sites != state.n_sites:
-        raise ValueError(
-            f"state has {state.n_sites} sites, model has {model.n_sites}"
-        )
-    phase = _site_field(model)
-    phase *= 0.5 * t
-    half = phase.size
-    # The down branch turns by the opposite angle: e^(-i x) = conj(e^(i x)).
-    amps = np.empty(2 * half, dtype=complex)
-    np.cos(phase, out=amps.real[:half])
-    np.sin(phase, out=amps.imag[:half])
-    amps.real[half:] = amps.real[:half]
-    np.negative(amps.imag[:half], out=amps.imag[half:])
-    amps *= state.amplitudes
-    return DenseState(amplitudes=amps, n_sites=state.n_sites, t=state.t + t)
+    return (model if callable(model) else propagator(model))(state, t)
 
 
 def oracle_expectation(state: DenseState, obs: RelevantObservable) -> float:
     """<psi|O|psi> by applying O to the full vector, ``_BLOCK_PARTS`` parts at a time.
 
-    Each block is the d x d Kronecker product of up to ``_BLOCK_PARTS``
-    consecutive 2x2 parts, system part first, applied to the whole vector.
-    Cost O(d 2^(N+1)) per block and ceil((N + 1) / _BLOCK_PARTS) blocks, so
-    O(N 2^(N+1)) with a constant of d / _BLOCK_PARTS = 4 multiply-adds per
-    part and amplitude; two working vectors besides the state.  The imaginary
-    residue must stay below 1e-10 (anything larger means a non-Hermitian part
-    leaked into the observable).
+    Blocks take the system part first.  Cost O(d 2^(N+1)) per block and
+    ceil((N + 1) / _BLOCK_PARTS) blocks, so O(N 2^(N+1)) with a constant of
+    d / _BLOCK_PARTS = 4 multiply-adds per part and amplitude; two working
+    vectors besides the state.  The imaginary residue must stay below 1e-10
+    (anything larger means a non-Hermitian part leaked into the observable).
     """
     if obs.n_sites != state.n_sites:
         raise ValueError(
@@ -144,14 +151,17 @@ def oracle_expectation(state: DenseState, obs: RelevantObservable) -> float:
         )
     parts = [obs.system_part, *obs.site_parts]
     vector = state.amplitudes
-    for lo in range(0, len(parts), _BLOCK_PARTS):
+    # One allocation for both working vectors: glibc then keeps its pages
+    # resident between calls instead of trimming and refaulting them.
+    buffers = np.empty((2, vector.size), dtype=complex)
+    for k, lo in enumerate(range(0, len(parts), _BLOCK_PARTS)):
         block = parts[lo]
         for part in parts[lo + 1 : lo + _BLOCK_PARTS]:
             block = np.kron(block, part)
         # (block @ X).T written as X.T @ block.T: the result comes out
         # contiguous with the block's axis last, ready for the next reshape.
         rows = vector.reshape(block.shape[0], -1).T
-        vector = np.empty(rows.shape, dtype=complex)
+        vector = buffers[k % 2].reshape(rows.shape)
         step = _PRODUCT_SIZE // block.size
         for r in range(0, rows.shape[0], step):
             np.matmul(rows[r : r + step], block.T, out=vector[r : r + step])
@@ -174,14 +184,13 @@ def branch_states(
     _check_cap(model.n_sites, site_cap)
     turn = np.exp(0.5j * t * model.couplings)
     back = turn.conj()
-    up_pairs = np.stack([model.alphas * turn, model.betas * back], axis=1)
-    down_pairs = np.stack([model.alphas * back, model.betas * turn], axis=1)
-    up = np.ones(1, dtype=complex)
-    down = np.ones(1, dtype=complex)
-    for up_pair, down_pair in zip(up_pairs, down_pairs):
-        up = np.multiply.outer(up, up_pair).ravel()
-        down = np.multiply.outer(down, down_pair).ravel()
-    return up, down
+    # Site i's (up pair, down pair), grown as one (2, 2^k) chain.
+    pairs = np.stack([model.alphas * turn, model.betas * back, model.alphas * back,
+                      model.betas * turn], axis=1).reshape(-1, 2, 2)
+    both = np.ones((2, 1), dtype=complex)
+    for pair in pairs:
+        both = (both[:, :, None] * pair[:, None, :]).reshape(2, -1)
+    return both[0], both[1]
 
 
 def oracle_overlap(model: SpinBathModel, t: float, site_cap: int = DEFAULT_SITE_CAP) -> complex:
@@ -195,6 +204,7 @@ def oracle_overlap(model: SpinBathModel, t: float, site_cap: int = DEFAULT_SITE_
 
 
 def oracle_reduced_state(state: DenseState) -> np.ndarray:
-    """2x2 central-qubit density matrix by direct partial trace over the bath."""
-    block = state.amplitudes.reshape(2, -1)
-    return block @ block.conj().T
+    """2x2 central-qubit density matrix, rho_jk = <half_k|half_j>: exactly Hermitian."""
+    up, down = state.amplitudes.reshape(2, -1)
+    rho01 = np.vdot(down, up)
+    return np.array([[np.vdot(up, up).real, rho01], [rho01.conj(), np.vdot(down, down).real]])

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import shlex
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,28 @@ class TestJsonOutputs:
         for _, times in grids:
             assert times.shape == (10,)
             assert _even_step(times) is not None
+
+    def test_oracle_check_builds_one_field_and_one_state_at_a_time(self, tmp_path, monkeypatch):
+        # One propagator per trial; each point's evolved state is gone before
+        # the next evolve allocates another.
+        propagators, evolved = [], []
+
+        def building(model):
+            propagators.append(cli_propagator(model))
+            return propagators[-1]
+
+        def evolving(state, propagate, t):
+            assert propagate is propagators[-1]
+            assert all(ref() is None for ref in evolved)
+            state = cli_evolve(state, propagate, t)
+            evolved.append(weakref.ref(state))
+            return state
+
+        cli_propagator, cli_evolve = cli.propagator, cli.evolve
+        monkeypatch.setattr(cli, "propagator", building)
+        monkeypatch.setattr(cli, "evolve", evolving)
+        assert run_cli(["oracle-check", "--n", "3", "--trials", "2"], tmp_path) == EXIT_OK
+        assert len(propagators) == 2 and len(evolved) == 20
 
     def test_keys_are_sorted(self, tmp_path):
         run_cli(["timescale", "--v1", "5", "--v2", "2"], tmp_path)

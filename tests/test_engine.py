@@ -431,6 +431,52 @@ class TestSplitFallback:
         for a, b in zip(fast, split):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def _block(rows, width, dtype, seed):
+        """Random C-contiguous factors, modulus in [1/2, 1]: products stay in the normal range."""
+        rng = np.random.default_rng(seed)
+        size = (rows, width)
+        if dtype is float:
+            return rng.uniform(0.5, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        return rng.uniform(0.5, 1.0, size) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size))
+
+    @staticmethod
+    def _folded(block):
+        """(mantissa, exponent) of _fold over ``block``, starting from a product of 1."""
+        mantissa = np.ones(block.shape[1], block.dtype)
+        exponent = np.zeros(block.shape[1], np.int64)
+        engine._fold(mantissa, exponent, block)
+        return mantissa, exponent
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 1024])
+    def test_fold_multiplies_rows_in_order_at_any_width(self, fallback_points, dtype, width):
+        for seed in range(20):
+            block = self._block(16, width, dtype, seed)
+            mantissa, exponent = self._folded(block)
+            ref = block[0].copy()
+            for row in block[1:]:
+                ref = ref * row
+            _, carry = np.frexp(np.maximum(np.abs(ref.real), np.abs(ref.imag)))
+            assert np.array_equal(mantissa, engine._ldexp(ref, -carry))
+            assert np.array_equal(exponent, carry)
+        assert fallback_points[0] == 0
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_lone_fallback_column_matches_the_fast_path(self, monkeypatch, dtype):
+        # A point that falls back alone rounds as it does among others and on
+        # the fast path.
+        for seed in range(20):
+            block = self._block(16, 5, dtype, seed)
+            fast = self._folded(block)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_FLOOR", math.inf)
+                forced = self._folded(block)
+                lone = [self._folded(block[:, [j]]) for j in range(block.shape[1])]
+            for j, (mantissa, exponent) in enumerate(lone):
+                for got in (forced, fast):
+                    assert mantissa[0] == got[0][j] and exponent[0] == got[1][j]
+
     @pytest.mark.parametrize("near_balanced", [1000, 2000])
     def test_envelope_blocks_below_the_floor(self, fallback_points, near_balanced):
         # (2u - 1)^2 = 1.02 * 2^-20 per near-balanced site: scaled by 2^-19 it

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spinbath.oracle
 from spinbath.engine import expectation, overlap_r, reduced_system_state
-from spinbath.ensemble import sample_model, sample_observable
+from spinbath.ensemble import commensurate_model, sample_model, sample_observable
 from spinbath.model import (
     IDENTITY_2,
     NORM_TOL,
@@ -32,6 +32,7 @@ from spinbath.oracle import (
     oracle_expectation,
     oracle_overlap,
     oracle_reduced_state,
+    propagator,
 )
 
 INV = 1.0 / math.sqrt(2.0)
@@ -193,6 +194,14 @@ def _random_state(n_sites, seed):
     return DenseState(amplitudes=amps / np.linalg.norm(amps), n_sites=n_sites, t=0.0)
 
 
+def _full_field(model):
+    """g_i * (+1 for up, -1 for down) summed for all 2^N bath configurations, site 1 first."""
+    field = np.zeros(1)
+    for g in model.couplings:
+        field = np.add.outer(field, np.array([g, -g])).ravel()
+    return field
+
+
 def _kron_matrix(obs):
     """The full 2^(N+1) x 2^(N+1) observable, system part most significant."""
     matrix = obs.system_part
@@ -245,7 +254,7 @@ class TestDirectReferences:
     def test_evolve_matches_full_exponential(self, n_sites, t):
         model = sample_model(n_sites, 31 + n_sites)
         state = _random_state(n_sites, n_sites)
-        field = _site_field(model)
+        field = _full_field(model)
         phase = np.concatenate([field, -field]) * (0.5 * t)
         ref = state.amplitudes * np.exp(1j * phase)
         got = evolve(state, model, t).amplitudes
@@ -265,6 +274,78 @@ class TestDirectReferences:
         tol = 4 * n_sites * EPS
         assert np.all(np.abs(up - up_ref) <= tol * np.abs(up_ref))
         assert np.all(np.abs(down - down_ref) <= tol * np.abs(down_ref))
+
+    @pytest.mark.parametrize("n_sites", range(1, 17))
+    def test_complement_has_the_negated_field(self, n_sites):
+        # evolve takes cos and sin on the configurations with site 1 up only.
+        for model in (sample_model(n_sites, 70 + n_sites), commensurate_model(n_sites, 1.0, 3)):
+            full = _full_field(model)
+            assert np.array_equal(full[::-1], -full)
+            half = _site_field(model)
+            assert np.array_equal(half.view(np.int64), full[: half.size].view(np.int64))
+
+    @pytest.mark.parametrize("n_sites", [1, 4, 8])
+    def test_build_initial_matches_kron_loop(self, n_sites):
+        model = sample_model(n_sites, 80 + n_sites, a=0.6, b=0.8j)
+        ref = np.array([model.a, model.b], dtype=complex)
+        for alpha, beta in zip(model.alphas, model.betas):
+            ref = np.kron(ref, np.array([alpha, beta], dtype=complex))
+        assert np.array_equal(build_initial(model).amplitudes, ref)
+
+    @pytest.mark.parametrize("n_sites", [1, 4, 8])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -13.0, 4.5e5])
+    def test_branch_states_match_two_separate_chains(self, n_sites, t):
+        model = sample_model(n_sites, 90 + n_sites)
+        turn = np.exp(0.5j * t * model.couplings)
+        back = turn.conj()
+        up_pairs = np.stack([model.alphas * turn, model.betas * back], axis=1)
+        down_pairs = np.stack([model.alphas * back, model.betas * turn], axis=1)
+        up_ref = np.ones(1, dtype=complex)
+        down_ref = np.ones(1, dtype=complex)
+        for up_pair, down_pair in zip(up_pairs, down_pairs):
+            up_ref = np.multiply.outer(up_ref, up_pair).ravel()
+            down_ref = np.multiply.outer(down_ref, down_pair).ravel()
+        up, down = branch_states(model, t)
+        assert np.array_equal(up, up_ref) and np.array_equal(down, down_ref)
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -13.0, 4.5e5, 1e12])
+    def test_evolve_matches_full_trig_exactly(self, n_sites, t):
+        # cos and sin of every configuration's own field t / 2, as one full
+        # pass.  Commensurate ladders have configurations with field exactly 0.
+        state = _random_state(n_sites, n_sites)
+        for model in (sample_model(n_sites, 100 + n_sites), commensurate_model(n_sites, 1.0, 3)):
+            phase = _full_field(model) * (0.5 * t)
+            rotation = np.cos(phase) + 1j * np.sin(phase)
+            ref = np.concatenate([rotation, rotation.conj()]) * state.amplitudes
+            for got in (evolve(state, model, t), evolve(state, propagator(model), t)):
+                assert np.array_equal(got.amplitudes, ref)
+                assert not np.any(np.signbit(got.amplitudes.view(float)) ^ np.signbit(ref.view(float)))
+                assert got.t == state.t + t and not got.amplitudes.flags.writeable
+
+    def test_evolve_peak_is_one_state_plus_the_half_field(self):
+        model = sample_model(16, 3)
+        state = build_initial(model)
+        half_field = 2**15 * 8
+        tracemalloc.start()
+        try:
+            evolve(state, model, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 4 KiB covers the Python objects around the two arrays.
+        assert peak <= state.amplitudes.nbytes + half_field + 4096
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 5, 8, 16])
+    def test_reduced_state_matches_block_product(self, n_sites):
+        for seed in range(3):
+            state = _random_state(n_sites, 200 + seed)
+            block = state.amplitudes.reshape(2, -1)
+            ref = block @ block.conj().T
+            got = oracle_reduced_state(state)
+            assert np.all(np.abs(got - ref) <= (n_sites + 1) * EPS)
+            assert got[1, 0] == np.conj(got[0, 1])
+            assert got[0, 0].imag == 0.0 and got[1, 1].imag == 0.0
 
 
 class TestOracleExpectation:
