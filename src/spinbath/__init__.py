@@ -31,7 +31,6 @@ from .engine import (
     overlap_r,
     r_squared_bounds,
     reduced_system_state,
-    single_spin_expectation,
 )
 from .ensemble import commensurate_model, sample_model, sample_observable
 from .model import (
@@ -94,7 +93,6 @@ __all__ = [
     "sample_model",
     "sample_observable",
     "single_site_observable",
-    "single_spin_expectation",
     "timescale_estimate",
     "timescale_report",
 ]

@@ -16,7 +16,9 @@ Exit codes: 0 success, 1 invalid config or usage, 2 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,28 +58,142 @@ EXIT_CHECK_FAILED = 4
 # Seed offset separating observable draws from model draws in oracle checks.
 _OBS_SEED_OFFSET = 10**6
 
-# Rows formatted per % call, so the text held at once stays bounded.
+# Rows formatted per block, so the text held at once stays bounded.
 _CSV_BLOCK_ROWS = 2**14
+# Floats per _format_floats call: its float64 temporaries (64 KiB) then stay under
+# glibc's 128 KiB mmap threshold and reuse heap pages; 2^14 runs at half the speed.
+_FLOAT_ROWS = 2**13
+
+
+@functools.cache
+def _csv_tables() -> dict:
+    """Tables for ``_format_floats``, built on the first CSV write.
+
+    Row i = x + 324 serves decimal exponent x: 10^(16 - x) ~ (hi + lo) 2^scale
+    from exact integers, 17 times the layout form (x + 4 in fixed notation, 21
+    in exponent form), and the slot's sign, "0.000" prefix and e+XX suffix (row
+    i + 633 with a minus).  Column form * 17 + digits - 1 of ``masks`` keeps
+    digit c at byte 7 + c left of the point, at 8 + c right of it, and the point.
+    """
+    pow10, form, affix = [], [], []
+    for x in range(-324, 309):
+        s = 116 - math.floor((16 - x) * math.log2(10))  # 10^(16 - x) 2^s has ~117 bits
+        q = (10 ** max(16 - x, 0) << max(s, 0)) // (10 ** max(x - 16, 0) << max(-s, 0))
+        pow10.append((float(q), float(q - int(float(q))), -s))
+        fixed = -4 <= x < 17
+        form.append(17 * (x + 4 if fixed else 21))
+        prefix = b"0." + b"0" * (-x - 1) if fixed and x < 0 else b""
+        affix.append((prefix, b"" if fixed else b"e%+03d" % x))
+    key = np.arange(22 * 17)
+    x, ndig = key // 17 - 4, key % 17 + 1
+    point = np.select([x < 0, x < 17], [17, x + 1], 1)  # digits before the point
+    kept = np.arange(17) < np.maximum(ndig, np.where(x < 0, 0, point))[:, None]
+    right = np.arange(17) >= point[:, None]
+    masks = np.zeros((3, key.size, 32), np.uint8)  # left digits, right digits, point
+    masks[0, :, 7:24] = 255 * (kept & ~right)
+    masks[1, :, 8:25] = 255 * (kept & right)
+    masks[2, key, 7 + point] = ord(".") * (ndig > point)
+    hi, lo, scale = np.array(pow10).T
+    hh = 134217729.0 * hi
+    hh -= hh - hi  # Dekker split: hi = hh + (hi - hh), 26 bits each
+    g = np.arange(10**4)
+    pad = [(sign + pre).ljust(7, b"\0") + bytes(18) + suf.ljust(7, b"\0")
+           for sign in (b"", b"-") for pre, suf in affix]
+    return {
+        "hh": hh, "hl": hi - hh, "lo": lo, "scale": scale.astype(np.int32), "form": np.array(form),
+        "affix": np.frombuffer(b"".join(pad), "<u8").reshape(-1, 4), "masks": masks.view("<u8"),
+        "quad": (48 + g[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8).view("<u4").ravel(),
+        "zeros": sum(g % 10**j == 0 for j in range(1, 5)).astype(np.uint8),
+    }
+
+
+def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float's %.17g text as a NUL-padded 32-byte slot, and the rows % must format.
+
+    The digits are round(|v| 10^(16 - x)) at v's decimal exponent x: with
+    v = m 2^e, m times the double-double 10^(16 - x) (Dekker products, no FMA)
+    is an integral double plus a tail good to ~1e-14.  log10 guesses x and the
+    unrounded product corrects it.  Rows with a value that is not finite, or
+    whose tail is within 1e-6 of a half (a possible exact tie), are flagged.
+    """
+    t = _csv_tables()
+    finite, zero = np.isfinite(values), values == 0
+    a = np.where(finite & ~zero, np.abs(values), 1.0)
+    m, e = np.frexp(a)
+    mh = 134217729.0 * m
+    mh -= mh - m
+    i = np.floor(np.log10(a)).astype(np.intp) + 324
+    while True:  # a second pass only where log10 misjudged the decade
+        hh, hl, lo, scale = (t[name].take(i) for name in ("hh", "hl", "lo", "scale"))
+        big = m * (hh + hl)
+        tail = ((mh * hh - big) + mh * hl + (m - mh) * hh) + (m - mh) * hl + m * lo
+        big, tail = np.ldexp(big, e + scale), np.ldexp(tail, e + scale)
+        # Margins that a rounding carry absorbs, so no step undoes another.
+        step = ((big - 1e17) + tail >= 0.5).astype(np.intp) - ((big - 1e16) + tail < -0.01)
+        if not step.any():
+            break
+        i += step
+    whole = np.floor(tail)
+    frac = tail - whole
+    digits = big.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = digits == 10**17  # rounded up to 1 at the next exponent
+    digits[carry] = 10**16
+    i += carry
+    digits[zero], i[zero] = 0, 324  # "0" in fixed notation at x = 0
+    top = digits // 10**8
+    groups = [top // 10**8]  # the lead digit, then four groups of four
+    for half in (top.astype(np.int32) % 10**8, (digits - top * 10**8).astype(np.int32)):
+        groups += [half // 10**4, half % 10**4]
+    slots = np.zeros((len(values), 8), "<u4")
+    trailing = np.zeros(len(values), np.uint8)
+    for j, group in enumerate(groups):
+        slots[:, 1 + j] = t["quad"].take(group)
+        zeros = t["zeros"].take(group) if j else 0
+        trailing = zeros + (zeros == 4) * trailing
+    key = t["form"].take(i) + 16 - trailing
+    # One mask at a time: near a 2 MiB peak a call reuses the heap pages of the
+    # last; at 3 MiB glibc trims and refaults them every call (3x slower).
+    left, right, point = t["masks"]
+    out = slots.view("<u8") & left.take(key, axis=0)
+    out |= np.roll(slots.view(np.uint8), 1).view("<u8") & right.take(key, axis=0)
+    out |= point.take(key, axis=0)
+    out |= t["affix"].take(i + 633 * np.signbit(values), axis=0)
+    return out, ~finite | (np.abs(frac - 0.5) < 1e-6)
 
 
 def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
     """Write one 1-D array per column under the digest-stamped header.
 
     Bool and integer columns print as integers (True as 1), float columns as
-    %.17g; each block of rows is formatted by one % call over the interleaved
-    values and written before the next block is formatted.
+    %.17g, formatted in numpy.  A row goes through one % call only if it holds
+    a non-finite value or a possible rounding tie, so the bytes are those of %
+    on every row.  Each block of rows is written before the next is formatted.
     """
     data = [np.asarray(col) for col in data]
     row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in data) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="ascii", newline="") as fh:
-        fh.write(f"# spinbath {__version__}\n# config {digest}\n{','.join(columns)}\n")
+    with path.open("wb") as fh:
+        fh.write(f"# spinbath {__version__}\n# config {digest}\n{','.join(columns)}\n".encode())
+        buffer = np.empty((min(len(data[0]), _CSV_BLOCK_ROWS), len(data), 4), "<u8")
         for lo in range(0, len(data[0]), _CSV_BLOCK_ROWS):
-            block = [col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in data]
-            values = [None] * (len(block[0]) * len(block))
+            block = [col[lo : lo + _CSV_BLOCK_ROWS] for col in data]
+            text, ties = buffer[: len(block[0])], np.zeros(len(block[0]), bool)
             for j, col in enumerate(block):
-                values[j :: len(block)] = col
-            fh.write((row * len(block[0])) % tuple(values))
+                for s in range(0, len(col), _FLOAT_ROWS):
+                    part = col[s : s + _FLOAT_ROWS]
+                    if col.dtype.kind in "biu":  # + 0 prints bools as 0 and 1
+                        ints = (part + 0).astype("S32")
+                        text[s : s + _FLOAT_ROWS, j] = ints.view("<u8").reshape(-1, 4)
+                    else:
+                        text[s : s + _FLOAT_ROWS, j], undecided = _format_floats(part.astype(float))
+                        ties[s : s + _FLOAT_ROWS] |= undecided
+            chars = text.view(np.uint8).reshape(len(text), -1)
+            chars[:, 31::32] = ord(",")
+            chars[:, -1] = ord("\n")
+            for r in np.flatnonzero(ties):
+                line = (row % tuple(col[r].item() for col in block)).encode()
+                chars[r] = np.frombuffer(line.ljust(chars.shape[1], b"\0"), np.uint8)
+            fh.write(chars.tobytes().translate(None, b"\0"))
 
 
 def _write_json(path: Path, digest: str, payload: dict) -> None:

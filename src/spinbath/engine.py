@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelevantObservable, SpinBathModel, _check_hermitian
+from .model import RelevantObservable, SpinBathModel
 
 # Factors are built and multiplied in tiles of at most _TILE_TIMES times and
 # _TILE_ELEMENTS (sites x times) elements, and at most _TILE_SITES sites: a
@@ -390,33 +390,6 @@ def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
         lambda sites, cos, sin: (scaled[sites],), model.couplings, np.zeros(1), (exponent,)
     )
     return float(lower[0][0]), 1.0
-
-
-def single_spin_expectation(model: SpinBathModel, j: int, eps, t):
-    """Expectation of a probe acting on environment spin ``j`` alone.
-
-    Evaluated directly from the two site-j contractions, one per central-qubit
-    branch (no product over the other sites):
-
-        |a|^2 f_j(+t) + |b|^2 f_j(-t),
-        f_j(t) = |alpha_j|^2 eps_uu + |beta_j|^2 eps_dd
-                   + 2 Re(conj(alpha_j) beta_j eps_ud e^(-i g_j t)).
-
-    Periodic with period 2 pi / g_j: the generic environment spin oscillates
-    forever and never settles.
-    """
-    alpha, beta, g = model.site(j)
-    eps = _check_hermitian(eps, "site part")
-    times, scalar = _as_times(t)
-    w_up = alpha.real**2 + alpha.imag**2
-    w_down = beta.real**2 + beta.imag**2
-    static = w_up * eps[0, 0].real + w_down * eps[1, 1].real
-    cross = np.conj(alpha) * beta * eps[0, 1]
-    f_plus = static + 2.0 * np.real(cross * np.exp(-1j * g * times))
-    f_minus = static + 2.0 * np.real(cross * np.exp(1j * g * times))
-    a, b = complex(model.a), complex(model.b)
-    out = (a.real**2 + a.imag**2) * f_plus + (b.real**2 + b.imag**2) * f_minus
-    return float(out[0]) if scalar else out
 
 
 def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:

@@ -22,7 +22,7 @@ block every axis is back in place.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,26 +53,36 @@ class DenseState:
 
     The central qubit is the most significant bit; site j sits at bit
     ``n_sites - j``.  ``t`` records the time the amplitudes correspond to.
-    The amplitudes are a read-only copy of the array passed in (with ``_fresh``, the array).
+    The amplitudes are a read-only copy of the array passed in.
     """
 
     amplitudes: np.ndarray
     n_sites: int
     t: float
-    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _fresh):
-        amps = self.amplitudes if _fresh else np.array(self.amplitudes, dtype=complex)
+    def __post_init__(self):
+        object.__setattr__(self, "amplitudes", np.array(self.amplitudes, dtype=complex))
+        self._seal()
+
+    def _seal(self):
+        amps = self.amplitudes
         if amps.ndim != 1 or amps.size != 2 ** (self.n_sites + 1) or amps.size < 4:
             raise ValueError("amplitude count must be 2^(n_sites + 1) with n_sites >= 1")
         if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
             raise ValueError("dense state must be normalized")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
+
+
+def _adopt(amps: np.ndarray, n_sites: int, t: float) -> DenseState:
+    """A DenseState over ``amps`` itself, not a copy: for complex arrays no caller holds."""
+    state = object.__new__(DenseState)
+    state.__dict__.update(amplitudes=amps, n_sites=n_sites, t=t)
+    state._seal()
+    return state
 
 
 def _check_cap(n_sites: int, site_cap: int) -> None:
@@ -100,7 +110,7 @@ def build_initial(model: SpinBathModel, site_cap: int = DEFAULT_SITE_CAP) -> Den
     amps = np.array([model.a, model.b], dtype=complex)
     for alpha, beta in zip(model.alphas, model.betas):
         amps = np.multiply.outer(amps, np.array([alpha, beta])).ravel()
-    return DenseState(amps, model.n_sites, 0.0, _fresh=True)
+    return _adopt(amps, model.n_sites, 0.0)
 
 
 def propagator(model: SpinBathModel) -> Callable[[DenseState, float], DenseState]:
@@ -118,7 +128,7 @@ def propagator(model: SpinBathModel) -> Callable[[DenseState, float], DenseState
         np.conjugate(amps[q - 1 :: -1], out=amps[q : 2 * q])
         np.conjugate(amps[: 2 * q], out=amps[2 * q :])
         amps *= state.amplitudes
-        return DenseState(amps, n_sites, state.t + t, _fresh=True)
+        return _adopt(amps, n_sites, state.t + t)
 
     return propagate
 
@@ -188,8 +198,11 @@ def branch_states(
     pairs = np.stack([model.alphas * turn, model.betas * back, model.alphas * back,
                       model.betas * turn], axis=1).reshape(-1, 2, 2)
     both = np.ones((2, 1), dtype=complex)
-    for pair in pairs:
-        both = (both[:, :, None] * pair[:, None, :]).reshape(2, -1)
+    for pair in pairs:  # two strided products, not a broadcast with an inner loop of 2
+        grown = np.empty((2, 2 * both.shape[1]), dtype=complex)
+        np.multiply(both, pair[:, :1], out=grown[:, 0::2])
+        np.multiply(both, pair[:, 1:], out=grown[:, 1::2])
+        both = grown
     return both[0], both[1]
 
 

@@ -26,9 +26,9 @@ from spinbath.engine import (
     overlap_r,
     r_squared_bounds,
     reduced_system_state,
-    single_spin_expectation,
 )
 from spinbath.ensemble import commensurate_model, sample_model, sample_observable
+from spinbath.model import single_site_observable
 from spinbath.oracle import (
     build_initial,
     evolve,
@@ -120,10 +120,11 @@ def test_bath_spins_keep_oscillating():
         model = sample_model(8, 300 + k)
         j = (k % 8) + 1
         eps = sample_observable(8, 400 + k).site_parts[j - 1]
+        obs = single_site_observable(j, eps, 8)
         period = 2.0 * math.pi / model.couplings[j - 1]
         tau = np.linspace(0.0, period, 2001)
-        early = np.abs(single_spin_expectation(model, j, eps, tau)).max()
-        late = np.abs(single_spin_expectation(model, j, eps, 1e4 * period + tau)).max()
+        early = np.abs(expectation(model, obs, tau)).max()
+        late = np.abs(expectation(model, obs, 1e4 * period + tau)).max()
         worst = max(worst, abs(early - late))
     ok = worst <= 1e-10
     report(

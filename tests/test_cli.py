@@ -4,11 +4,18 @@ import argparse
 import json
 import math
 import shlex
+import subprocess
+import sys
+import tempfile
+import tracemalloc
 import weakref
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinbath.cli as cli
 from spinbath import __version__
@@ -19,12 +26,14 @@ from spinbath.cli import (
     EXIT_OK,
     EXIT_RESOURCE_CAP,
     _CSV_BLOCK_ROWS,
+    _format_floats,
     _write_csv,
     build_parser,
     main,
 )
 from spinbath.config import COMMANDS, ExperimentConfig
-from spinbath.engine import _even_step
+from spinbath.engine import _even_step, expectation
+from spinbath.ensemble import sample_model, sample_observable
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -146,6 +155,117 @@ class TestCsvFormat:
         _write_csv(tmp_path / "f.csv", "abc", ("v",), (values,))
         cells = (tmp_path / "f.csv").read_text(encoding="ascii").splitlines()[3:]
         assert cells == ["-0", "4.9406564584124654e-324", "1e+308", "inf", "0.10000000000000001"]
+
+
+def assert_writer_matches_reference(directory, *columns):
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    _write_csv(directory / "new.csv", "abc", header, columns)
+    _write_csv_reference(directory / "old.csv", "abc", header, zip(*columns))
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+def exact_ties(seed=0) -> np.ndarray:
+    """Doubles whose exact decimal value has 18 significant digits, the last a 5."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for e in range(64):
+        for v in np.ldexp(rng.integers(2**52, 2**53, 200).astype(float), -e).tolist():
+            digits = Decimal(v).normalize().as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(v)
+    return np.array(ties)
+
+
+def around(values, ulps=8) -> np.ndarray:
+    """Each value and its neighbours up to ``ulps`` doubles away on either side."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (-np.inf, np.inf):
+        step = out[0]
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestFloatWriter:
+    """The numpy float formatter against the per-value % reference, byte for byte."""
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_random_bit_patterns(self, bits):
+        floats = np.array(bits, dtype=np.uint64).view(np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_writer_matches_reference(Path(tmp), floats, -floats[::-1])
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = np.array([10.0**k for k in range(-323, 309)])
+        values = around(powers, ulps=1)
+        assert_writer_matches_reference(tmp_path, values, -values)
+
+    def test_fixed_to_exponent_switch_points(self, tmp_path):
+        # %g goes to exponent form below 1e-4 and at 1e17; values a few ulp
+        # below a power of ten round up across the switch.
+        values = around([1e-5, 1e-4, 1e-3, 1e16, 1e17, 1e18], ulps=40)
+        assert_writer_matches_reference(tmp_path, values, -values)
+
+    def test_subnormals_zeros_and_non_finite(self, tmp_path):
+        rng = np.random.default_rng(3)
+        subnormal = rng.integers(1, 2**52, 5000, dtype=np.uint64).view(np.float64)
+        special = np.array(
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]
+        )
+        values = np.concatenate([special, subnormal, -subnormal])
+        assert_writer_matches_reference(tmp_path, values, values[::-1])
+
+    def test_exact_ties_take_the_percent_path(self, tmp_path):
+        ties = exact_ties()
+        assert ties.size >= 100
+        assert _format_floats(ties)[1].all()
+        # Rows with a tie also carry integer and bool columns through %.
+        ints = np.arange(ties.size) * 7919 - 10**6
+        assert_writer_matches_reference(tmp_path, ties, ints, ints % 3 == 0, -ties)
+
+    def test_integer_and_bool_dtypes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        columns = (
+            rng.integers(-128, 128, 500).astype(np.int8),
+            rng.integers(-(2**31), 2**31, 500).astype(np.int32),
+            rng.integers(0, 2**64 - 1, 500, dtype=np.uint64, endpoint=True),
+            np.r_[INT64.min, INT64.max, rng.integers(-(2**62), 2**62, 498)],
+            rng.random(500) < 0.5,
+            [bool(k % 2) for k in range(500)],
+            rng.standard_normal(500),
+        )
+        assert_writer_matches_reference(tmp_path, *columns)
+
+    def test_percent_path_is_rare_on_a_trace_long_column(self):
+        # The trace-long workload: simulate-obs --n 48 --points 200000 with a random observable.
+        model = sample_model(48, 5)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 200_000)
+        values = expectation(model, sample_observable(48, 5 + 10**6), times)
+        for column in (times, values):
+            undecided = np.concatenate(
+                [_format_floats(column[s : s + 2**13])[1] for s in range(0, column.size, 2**13)]
+            )
+            assert undecided.mean() <= 0.01
+
+    def test_peak_memory_of_a_long_write(self, tmp_path):
+        times = np.linspace(0.0, 37.0, 200_000)
+        values = np.random.default_rng(7).standard_normal(200_000)
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "long.csv", "abc", ("t", "value"), (times, values))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
+
+    def test_tables_are_built_on_first_write_not_at_import(self):
+        code = "import spinbath.cli as c; assert c._csv_tables.cache_info().currsize == 0"
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestJsonOutputs:

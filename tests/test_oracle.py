@@ -95,6 +95,16 @@ class TestDenseStateInvariants:
         amps[0] = 0.0
         assert state.amplitudes[0] == 1.0 / math.sqrt(8)
 
+    def test_module_constructor_adopts_without_copy_and_still_checks(self):
+        amps = np.full(8, 1.0 / math.sqrt(8), dtype=complex)
+        state = spinbath.oracle._adopt(amps, 2, 0.5)
+        assert state.amplitudes is amps and not amps.flags.writeable
+        assert (state.n_sites, state.t) == (2, 0.5)
+        with pytest.raises(ValueError, match="normalized"):
+            spinbath.oracle._adopt(np.ones(4, dtype=complex), 1, 0.0)
+        with pytest.raises(ValueError, match="2\\^"):
+            spinbath.oracle._adopt(np.ones(6, dtype=complex) / math.sqrt(6), 2, 0.0)
+
 
 def edge_model(sign: float, n_sites: int):
     """A model whose every amplitude pair deviates from unit norm by nearly
@@ -307,6 +317,22 @@ class TestDirectReferences:
             down_ref = np.multiply.outer(down_ref, down_pair).ravel()
         up, down = branch_states(model, t)
         assert np.array_equal(up, up_ref) and np.array_equal(down, down_ref)
+
+    @pytest.mark.parametrize("n_sites", [1, 4, 8, 16])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -13.0, 4.5e5])
+    def test_branch_states_bit_identical_to_broadcast_chain(self, n_sites, t):
+        # The (2, 2^k) chain grown by one broadcast per site, which the two
+        # strided products per site replaced: the same products, bit for bit.
+        model = sample_model(n_sites, 110 + n_sites)
+        turn = np.exp(0.5j * t * model.couplings)
+        back = turn.conj()
+        pairs = np.stack([model.alphas * turn, model.betas * back, model.alphas * back,
+                          model.betas * turn], axis=1).reshape(-1, 2, 2)
+        both = np.ones((2, 1), dtype=complex)
+        for pair in pairs:
+            both = (both[:, :, None] * pair[:, None, :]).reshape(2, -1)
+        up, down = branch_states(model, t)
+        assert np.array_equal(up, both[0]) and np.array_equal(down, both[1])
 
     @pytest.mark.parametrize("n_sites", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("t", [0.0, 0.7, -13.0, 4.5e5, 1e12])
