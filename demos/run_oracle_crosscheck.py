@@ -17,7 +17,6 @@ from spinbath.oracle import (
     oracle_expectation,
     oracle_overlap,
     oracle_reduced_state,
-    propagator,
 )
 
 N_SITES = 8
@@ -27,14 +26,13 @@ def main() -> None:
     model = sample_model(N_SITES, seed=7, a=0.6, b=0.8j)
     obs = sample_observable(N_SITES, seed=8)
     state0 = build_initial(model)
-    propagate = propagator(model)
     print(f"N = {N_SITES}: dense state has {state0.amplitudes.size} amplitudes,"
           f" the engine tracks {N_SITES} factors\n")
 
     print(f"  {'t':>6}  {'d <O>':>9}  {'d r':>9}  {'d rho':>9}")
     for t in np.linspace(0.0, 40.0, 9):
         t = float(t)
-        state = evolve(state0, propagate, t)
+        state = evolve(state0, model, t)
         d_obs = abs(oracle_expectation(state, obs) - expectation(model, obs, t))
         d_r = abs(oracle_overlap(model, t) - overlap_r(model, t))
         d_rho = np.abs(

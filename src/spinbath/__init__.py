@@ -45,7 +45,6 @@ from .model import (
 from .oracle import (
     DenseState,
     SiteCapError,
-    branch_states,
     build_initial,
     evolve,
     oracle_expectation,
@@ -68,7 +67,6 @@ __all__ = [
     "SweepRow",
     "TimescaleReport",
     "Trajectory",
-    "branch_states",
     "build_initial",
     "commensurate_model",
     "config_from_dict",

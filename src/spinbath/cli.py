@@ -44,7 +44,6 @@ from .oracle import (
     oracle_expectation,
     oracle_overlap,
     oracle_reduced_state,
-    propagator,
 )
 
 OUT_DIR_ENV = "SPINBATH_OUT_DIR"
@@ -285,14 +284,13 @@ def _cmd_oracle_check(cfg: ExperimentConfig, out: Path) -> int:
         model = _model(cfg, seed=cfg.seed + trial)
         obs = sample_observable(cfg.n, cfg.seed + trial + _OBS_SEED_OFFSET)
         state0 = build_initial(model, site_cap=cfg.site_cap)
-        propagate = propagator(model)
         # The engine runs once over the whole (evenly spaced) grid, as real
         # runs call it; the oracle runs point by point.
         times = np.linspace(0.0, 50.0 / model.mean_coupling, 10)
         values = expectation(model, obs, times).tolist()
         overlaps = overlap_r(model, times).tolist()
         for t, value, overlap in zip(times.tolist(), values, overlaps):
-            state = evolve(state0, propagate, t)
+            state = evolve(state0, model, t)
             diffs = (
                 abs(value - oracle_expectation(state, obs)),
                 abs(overlap - oracle_overlap(model, t, site_cap=cfg.site_cap)),

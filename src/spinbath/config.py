@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Any
@@ -122,13 +123,10 @@ class ExperimentConfig:
             raise ValueError("need at least two grid points")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie strictly between 0 and 1")
-        for name in ("t_max", "window", "t0", "t1"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be positive when given")
-        for name in ("g_base", "v1_ev", "v2_ev", "tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("t_max", "window", "t0", "t1", "g_base", "v1_ev", "v2_ev", "tol"):
+            value = getattr(self, name)  # only the first four may be None
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.trials < 1 or self.n_seeds < 1 or self.site_cap < 1:
             raise ValueError("trials, n_seeds and site_cap must be positive")
         if self.samples < 100:

@@ -35,7 +35,6 @@ from spinbath.oracle import (
     oracle_expectation,
     oracle_overlap,
     oracle_reduced_state,
-    propagator,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -60,10 +59,9 @@ def test_oracle_equivalence_up_to_ten_sites():
             )
             obs = sample_observable(n, 2000 * n + k)
             state0 = build_initial(model)
-            propagate = propagator(model)
             for t in np.linspace(0.0, 50.0 / model.mean_coupling, 10):
                 t = float(t)
-                state = evolve(state0, propagate, t)
+                state = evolve(state0, model, t)
                 worst = max(
                     worst,
                     abs(oracle_expectation(state, obs) - expectation(model, obs, t)),

@@ -34,6 +34,7 @@ from spinbath.cli import (
 from spinbath.config import COMMANDS, ExperimentConfig
 from spinbath.engine import _even_step, expectation
 from spinbath.ensemble import sample_model, sample_observable
+from spinbath.model import SpinBathModel
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -324,26 +325,24 @@ class TestJsonOutputs:
             assert _even_step(times) is not None
 
     def test_oracle_check_builds_one_field_and_one_state_at_a_time(self, tmp_path, monkeypatch):
-        # One propagator per trial; each point's evolved state is gone before
-        # the next evolve allocates another.
-        propagators, evolved = [], []
+        # Each point evolves the trial's initial state under its model, and
+        # the evolved state (with the field evolve built for it) is gone
+        # before the next evolve allocates another.
+        initial, evolved = [], []
 
-        def building(model):
-            propagators.append(cli_propagator(model))
-            return propagators[-1]
-
-        def evolving(state, propagate, t):
-            assert propagate is propagators[-1]
+        def evolving(state, model, t):
+            assert isinstance(model, SpinBathModel)
+            if not initial or state is not initial[-1]:
+                initial.append(state)
             assert all(ref() is None for ref in evolved)
-            state = cli_evolve(state, propagate, t)
+            state = cli_evolve(state, model, t)
             evolved.append(weakref.ref(state))
             return state
 
-        cli_propagator, cli_evolve = cli.propagator, cli.evolve
-        monkeypatch.setattr(cli, "propagator", building)
+        cli_evolve = cli.evolve
         monkeypatch.setattr(cli, "evolve", evolving)
         assert run_cli(["oracle-check", "--n", "3", "--trials", "2"], tmp_path) == EXIT_OK
-        assert len(propagators) == 2 and len(evolved) == 20
+        assert len(initial) == 2 and len(evolved) == 20
 
     def test_keys_are_sorted(self, tmp_path):
         run_cli(["timescale", "--v1", "5", "--v2", "2"], tmp_path)
@@ -592,6 +591,20 @@ class TestExitCodes:
         assert "not normalized" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate-r", "--n", "5", "--points", "4", "--t-max", "inf"],
+            ["simulate-obs", "--n", "5", "--points", "4", "--t-max", "inf"],
+            ["fluctuation", "--n", "5", "--t1", "inf"],
+        ],
+    )
+    def test_infinite_time_is_rejected(self, tmp_path, capsys, args):
+        assert run_cli(args, tmp_path / "out") == EXIT_INVALID
+        field = args[-2].lstrip("-").replace("-", "_")
+        assert f"{field} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["simulate-r", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_IO
@@ -627,6 +640,13 @@ class TestConfigObject:
             ExperimentConfig(command="sweep-n", theta=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(command="nope")
+
+    @pytest.mark.parametrize("name", ["t_max", "window", "t0", "t1", "g_base", "v1_ev", "v2_ev", "tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_times_and_scales_that_are_not_positive_and_finite(self, name, value):
+        command = next(c for c, read in COMMANDS.items() if name in read)
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ExperimentConfig(command=command, **{name: value})
 
     def test_unread_field_must_keep_its_default(self):
         with pytest.raises(ValueError, match="timescale does not read seed, points"):
