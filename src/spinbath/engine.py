@@ -3,16 +3,19 @@
 Because the coupling Hamiltonian is diagonal in the up/down product basis,
 every product-form observable has an expectation value that factorizes into
 one 2x2 contraction per site.  This module evaluates those per-site factors
-and multiplies them with one separate-exponent product.  Each site's
-coefficients are first divided by 2^e, the least power of two at or above a
-closed-form bound on that site's factor, so every factor has modulus at most
-1 and the integer sum of the e is carried apart.  Factors are multiplied in
-site blocks into a running mantissa that is renormalized after every block,
-its power of two carried as an integer, so a product is a correctly scaled
-double however many sites it spans.  A power-of-two scale is exact and a
-partial product within a block can only shrink, so a block product that
-stays above 2^-960 is exactly what multiplying frexp mantissas would give.
-The few time points whose block product falls below that floor, or to 0, are
+and multiplies them with one separate-exponent product, ``_site_products``;
+every per-site product in the package goes through it, plain products of
+per-site numbers too (``_product``).  Callers pass each site's raw
+coefficients and a closed-form bound on its factors.  The kernel divides each
+site's coefficients by 2^e, the least power of two at or above that bound, so
+every factor has modulus at most 1 and the integer sum of the e is carried
+apart.  Factors are multiplied in site blocks into a running mantissa that is
+renormalized after every block, its power of two carried as an integer, so a
+product is a correctly scaled double however many sites it spans.  A
+power-of-two scale is exact and a partial product within a block can only
+shrink, so a block product that stays above 2^-960 is exactly what
+multiplying frexp mantissas would give, whichever bound scaled it.  The few
+time points whose block product falls below that floor, or to 0, are
 recomputed from factors split one by one into mantissa and exponent.
 Results underflow gradually the way IEEE doubles do: subnormal where the
 true value is, exactly 0 only below 2^-1074.  Factors are built one tile of
@@ -163,18 +166,6 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _ldexp(x, -exponent), exponent
 
 
-def _scale_rows(bound: np.ndarray, *coefficients: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Each site's coefficients over 2^e, the least power of two >= its bound, and sum(e).
-
-    A power-of-two scale is exact, so a factor built from the scaled
-    coefficients is the true factor times 2^-e, with modulus at most 1.  The
-    scaled coefficients come back as (sites, 1) columns.
-    """
-    mantissa, exponent = np.frexp(bound)
-    exponent -= mantissa == 0.5
-    return int(exponent.sum()), [np.ldexp(c, -exponent)[:, None] for c in coefficients]
-
-
 def _row_product(block: np.ndarray) -> np.ndarray:
     """Product over the rows, in row order at any width (a lone column goes in twice)."""
     wide = np.repeat(block, 2, axis=1) if block.shape[1] == 1 else block
@@ -232,20 +223,20 @@ def _even_step(times: np.ndarray) -> float | None:
 
 
 def _site_products(
-    factors, couplings: np.ndarray, times: np.ndarray, exponents: tuple[int, ...]
+    factors, couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, columns
 ) -> list[np.ndarray]:
     """Products over all sites of each factor that ``factors`` builds.
 
-    ``factors(sites, cos, sin)`` returns a tuple of (sites, times) arrays,
-    real or complex, for a slice of sites given cos and sin of g t over a
-    chunk of times; the result holds one array over ``times`` per tuple
-    entry.  The factors must come from coefficients scaled by ``_scale_rows``,
-    so each has modulus at most 1, and ``exponents`` holds, per tuple entry,
-    the summed power of two that scaling took out.  Each running product keeps
-    a mantissa and an integer exponent per time point and is renormalized
-    after every site block by ``_fold``, which splits factors one by one only
-    at points whose block product left the normal range; the only rounding to
-    the double range is the final ldexp.
+    ``bound`` bounds the modulus of every factor of each site.  The kernel
+    divides that site's entries of ``columns`` by the least power of two at or
+    above it, and ``factors(cos, sin, *scaled)`` gets cos and sin of g t over
+    a tile of sites and times with those sites' scaled coefficients as
+    (sites, 1) columns.  It returns a tuple of (sites, times) arrays, real or
+    complex, and the result holds one array over ``times`` per entry.  Each
+    running product keeps a mantissa and an integer exponent per time point
+    and is renormalized after every site block by ``_fold``, which splits
+    factors one by one only at points whose block product left the normal
+    range; the only rounding to the double range is the final ldexp.
 
     A tile spans at most _TILE_TIMES times and _TILE_ELEMENTS elements, so
     1024 times take blocks of 16 sites and a scalar time blocks of
@@ -255,6 +246,10 @@ def _site_products(
     p, and t_(qb+p) gets their product.  On any other grid b = 1 and cos, sin
     are taken of every g t directly.
     """
+    fraction, powers = np.frexp(bound)
+    powers -= fraction == 0.5
+    columns = [np.ldexp(column, -powers)[:, None] for column in columns]
+    scale = int(powers.sum())
     cols = max(1, min(times.size, _TILE_TIMES))
     rows = min(_TILE_SITES, _TILE_ELEMENTS // cols)
     step = _even_step(times)
@@ -274,11 +269,10 @@ def _site_products(
                 rotation = coarse[:, :, None] * _complex(np.cos(fine), np.sin(fine))[:, None, :]
                 rotation = rotation.reshape(g.size, -1)[:, : t.size]
                 cos, sin = rotation.real, rotation.imag
-            blocks = factors(sites, cos, sin)
+            blocks = factors(cos, sin, *(column[sites] for column in columns))
             if running is None:
                 running = [
-                    (np.ones(t.size, b.dtype), np.full(t.size, e, np.int64))
-                    for b, e in zip(blocks, exponents)
+                    (np.ones(t.size, b.dtype), np.full(t.size, scale, np.int64)) for b in blocks
                 ]
             for (mantissa, exponent), block in zip(running, blocks):
                 _fold(mantissa, exponent, block)
@@ -308,23 +302,19 @@ def _expectation_products(
     static, up_minus_down = up + down, up - down
     cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
     cross_re, cross_im = 2.0 * cross.real, 2.0 * cross.imag
-    bound = np.abs(static) + np.abs(cross_re)
-    e0, (static0, cross_re0, cross_im0) = _scale_rows(
-        bound + np.abs(cross_im), static, cross_re, cross_im
-    )
-    e1, (static1, cross_re1, up_minus_down1) = _scale_rows(
-        bound + np.abs(up_minus_down), static, cross_re, up_minus_down
-    )
+    columns = static, cross_re, cross_im, up_minus_down
+    # The summed moduli bound the modulus of all three factors.
+    bound = sum(np.abs(c) for c in columns)
 
-    def factors(sites, cos, sin):
-        even = static0[sites] + cross_re0[sites] * cos
-        odd = cross_im0[sites] * sin
+    def factors(cos, sin, static, cross_re, cross_im, up_minus_down):
+        even = static + cross_re * cos
+        odd = cross_im * sin
         g1 = np.empty(cos.shape, complex)
-        g1.real = static1[sites] * cos + cross_re1[sites]
-        g1.imag = up_minus_down1[sites] * sin
+        g1.real = static * cos + cross_re
+        g1.imag = up_minus_down * sin
         return even + odd, even - odd, g1
 
-    return _site_products(factors, model.couplings, times, (e0, e0, e1))
+    return _site_products(factors, model.couplings, times, bound, columns)
 
 
 def expectation(model: SpinBathModel, obs: RelevantObservable, t):
@@ -365,16 +355,25 @@ def overlap_r(model: SpinBathModel, t):
     """
     times, scalar = _as_times(t)
     w_up, w_down = _site_weights(model)
-    exponent, (w_sum, w_diff) = _scale_rows(w_up + w_down, w_up + w_down, w_up - w_down)
+    w_sum = w_up + w_down
 
-    def factors(sites, cos, sin):
+    def factors(cos, sin, w_sum, w_diff):
         f = np.empty(cos.shape, complex)
-        f.real = w_sum[sites] * cos
-        f.imag = w_diff[sites] * sin
+        f.real = w_sum * cos
+        f.imag = w_diff * sin
         return (f,)
 
-    out = _site_products(factors, model.couplings, times, (exponent,))[0]
+    out = _site_products(factors, model.couplings, times, w_sum, (w_sum, w_up - w_down))[0]
     return complex(out[0]) if scalar else out
+
+
+def _product(values: np.ndarray) -> float:
+    """prod(values), one site per value, with no intermediate underflow or overflow."""
+    return float(
+        _site_products(
+            lambda cos, sin, v: (v,), np.zeros(values.size), np.zeros(1), np.abs(values), (values,)
+        )[0][0]
+    )
 
 
 def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
@@ -384,12 +383,7 @@ def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
     the product is bracketed by (prod_i (2|alpha_i|^2 - 1)^2, 1).
     """
     w_up, _ = _site_weights(model)
-    per_site = (2.0 * w_up - 1.0) ** 2
-    exponent, (scaled,) = _scale_rows(per_site, per_site)
-    lower = _site_products(
-        lambda sites, cos, sin: (scaled[sites],), model.couplings, np.zeros(1), (exponent,)
-    )
-    return float(lower[0][0]), 1.0
+    return _product((2.0 * w_up - 1.0) ** 2), 1.0
 
 
 def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:
@@ -404,7 +398,7 @@ def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:
     dense state keeps.
     """
     w_up, w_down = _site_weights(model)
-    r = overlap_r(model, float(t)) / np.prod(w_up + w_down)
+    r = overlap_r(model, float(t)) / _product(w_up + w_down)
     a, b = complex(model.a), complex(model.b)
     coherence = a * np.conj(b) * r
     matrix = np.array(

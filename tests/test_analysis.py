@@ -263,17 +263,11 @@ class TestTimescales:
     def test_report_equal_strengths(self):
         assert timescale_report(2.0, 2.0).hierarchy_ok
 
-    def test_report_invariants_enforced(self):
-        with pytest.raises(ValueError, match="exactly"):
-            TimescaleReport(v1_ev=1.0, v2_ev=1.0, t_ds_s=1.0, t_du_s=HBAR_EV_S, hierarchy_ok=True)
-        with pytest.raises(ValueError, match="hierarchy"):
-            TimescaleReport(
-                v1_ev=2.0,
-                v2_ev=1.0,
-                t_ds_s=HBAR_EV_S / 2.0,
-                t_du_s=HBAR_EV_S,
-                hierarchy_ok=False,
-            )
+    def test_report_rejects_nonpositive_strengths(self):
+        with pytest.raises(ValueError, match="positive"):
+            TimescaleReport(v1_ev=0.0, v2_ev=1.0)
+        with pytest.raises(ValueError, match="positive"):
+            timescale_report(1.0, math.inf)
 
 
 class TestScalingSweep:

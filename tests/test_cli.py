@@ -11,6 +11,7 @@ import tracemalloc
 import weakref
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -616,6 +617,34 @@ class TestExitCodes:
         assert code == EXIT_CHECK_FAILED
         payload = json.loads((tmp_path / "oracle_check.json").read_text())
         assert payload["passed"] is False
+
+    @pytest.mark.parametrize("name, key", [
+        ("expectation", "max_diff_expectation"),
+        ("overlap_r", "max_diff_overlap"),
+        ("reduced_system_state", "max_diff_reduced_state"),
+    ])
+    def test_oracle_check_fails_on_a_nan_difference(self, tmp_path, monkeypatch, name, key):
+        # A NaN at one point of one quantity fails the check, and JSON, which
+        # has no NaN, gets null for that quantity's maximum.
+        func, calls = getattr(cli, name), []
+
+        def poisoned(model, *args):
+            out = func(model, *args)
+            calls.append(args)
+            if name != "reduced_system_state":
+                out[3] = np.nan if len(calls) == 1 else out[3]
+            elif len(calls) == 4:
+                out = SimpleNamespace(matrix=np.full((2, 2), np.nan))
+            return out
+
+        monkeypatch.setattr(cli, name, poisoned)
+        code = run_cli(["oracle-check", "--n", "6", "--trials", "2", "--seed", "0"], tmp_path)
+        assert code == EXIT_CHECK_FAILED
+        payload = json.loads((tmp_path / "oracle_check.json").read_text())
+        assert payload["passed"] is False
+        assert payload[key] is None
+        others = {"max_diff_expectation", "max_diff_overlap", "max_diff_reduced_state"} - {key}
+        assert all(payload[other] <= 1e-10 for other in others)
 
     def test_fluctuation_without_meaningful_ratio_fails(self, tmp_path, capsys):
         # At 2000 sites the predicted late-time |r|^2 is below 2^-1022.

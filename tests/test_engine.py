@@ -1,10 +1,13 @@
 """Closed-form evaluator checks: hand-computable cases, symmetries, stability."""
 
+import ast
 import cmath
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -521,6 +524,138 @@ class TestSplitFallback:
         log_lower = math.fsum(np.log((2.0 * w_up - 1.0) ** 2))
         assert sys.float_info.min < lower
         assert math.log(lower) == pytest.approx(log_lower, rel=1e-13)
+
+
+def _near_balanced_model(n_sites=1000):
+    """Sites of (2u - 1)^2 = 1.02 * 2^-20 and coupling 1, as in TestSplitFallback.
+
+    Each overlap factor is cos t + i (2u - 1) sin t, so at t in [1.0, 1.2]
+    a block of _TILE_SITES of them multiplies to between 2^-889 and 2^-1465:
+    above the floor, below it but normal, subnormal, and 0.
+    """
+    u = 0.5 * (1.0 + 2.0**-10 * math.sqrt(1.02))
+    return make_model(INV, INV, [(math.sqrt(u), math.sqrt(1.0 - u), 1.0)] * n_sites)
+
+
+class TestScaleIndependence:
+    """The kernel's results do not depend on which power-of-two bound scales each site."""
+
+    @staticmethod
+    def _products(model, obs, t):
+        times = np.atleast_1d(t)
+        return [np.asarray(overlap_r(model, t))] + _expectation_products(model, obs, times)
+
+    @pytest.mark.parametrize(
+        "model, obs, t",
+        [
+            (sample_model(70, 40), sample_observable(70, 41), np.linspace(0.0, 4.0, 2000)),
+            (
+                sample_model(70, 40),
+                sample_observable(70, 41),
+                np.sort(np.random.default_rng(3).uniform(-5.0, 40.0, 300)),
+            ),
+            (sample_model(70, 40), sample_observable(70, 41), 0.7),
+            # At most 16 times take blocks of _TILE_SITES sites.
+            (_near_balanced_model(), sample_observable(1000, 7), np.linspace(1.0, 1.2, 9)),
+            (_near_balanced_model(), sample_observable(1000, 7), np.array([1.0, 1.03, 1.1, 1.2])),
+            (_near_balanced_model(), sample_observable(1000, 7), 1.1),
+        ],
+        ids=[
+            "even", "uneven", "scalar",
+            "near-balanced-even", "near-balanced-uneven", "near-balanced-scalar",
+        ],
+    )
+    def test_bounds_times_a_power_of_two_give_the_same_bits(
+        self, monkeypatch, fallback_points, model, obs, t
+    ):
+        base = self._products(model, obs, t)
+        if model.n_sites == 1000:
+            assert fallback_points[0] > 0
+        kernel = engine._site_products
+        for k in (1, 17, 60):
+
+            def scaled(factors, couplings, times, bound, columns):
+                return kernel(factors, couplings, times, np.ldexp(bound, k), columns)
+
+            before = fallback_points[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_site_products", scaled)
+                got = self._products(model, obs, t)
+            for a, b in zip(base, got):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            if k == 60:
+                # Sixteen factors of modulus at most 2^-60 multiply below the floor.
+                assert fallback_points[0] > before
+
+
+class TestProduct:
+    """engine._product: the kernel with one value per site."""
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000])
+    @pytest.mark.parametrize("log2_target", [-300, -1060])
+    def test_equals_the_exact_product_rounded_once(self, n, log2_target):
+        # Powers of two and at most 16 factors 5/4, 3/2 or 7/4 multiply to an
+        # odd integer below 7^16 < 2^45 times a power of two, so every partial
+        # product the kernel forms is exact and only its final ldexp rounds:
+        # not at all at 2^-300, to 14 bits at 2^-1060.  The powers of two come
+        # in pairs 2^e, 2^-e, shuffled, and three values carry the target.
+        rng = np.random.default_rng(n)
+        half = rng.integers(-60, 61, n // 2)
+        powers = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2, int)]))
+        values = np.ldexp(rng.choice([-1.0, 1.0], n), powers)
+        odd = rng.choice(n, min(n, 16), replace=False)
+        values[odd] *= rng.choice([1.25, 1.5, 1.75], odd.size)
+        with mpmath.workprec(64):
+            log2 = mpmath.log(abs(mpmath.fprod(values.tolist())), 2)
+            shift = log2_target - int(mpmath.floor(log2))
+            steps = np.diff(np.linspace(0, shift, 4).round()).astype(int)
+            values[:3] = np.ldexp(values[:3], steps)
+            exact = mpmath.fprod(values.tolist())
+            expected = float(exact)  # mpmath rounds an mpf of <= 53 bits once
+            assert math.frexp(expected)[1] - 1 == log2_target
+            assert (mpmath.mpf(expected) != exact) == (log2_target < -1022)
+        assert engine._product(values) == expected
+
+    def test_rounds_once_where_a_running_product_rounds_twice(self):
+        # 2^-1070 (35/32)^2 = 19.14 * 2^-1074 rounds once to 19 * 2^-1074.  A
+        # running product is already subnormal at 2^-1070 and rounds 17.5 up
+        # to 18, then 19.69 up to 20.
+        values = np.array([2.0**-1000, 2.0**-70, 1.09375, 1.09375])
+        assert engine._product(values) == 19 * 2.0**-1074
+        assert np.prod(values) == 20 * 2.0**-1074
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_np_prod_up_to_one_block(self, seed):
+        # Up to _TILE_SITES values the kernel multiplies in order from 1, as
+        # np.prod does: the fluctuation prediction of fluctuation_n20.json
+        # and the reduced state's site norms.
+        w_up, w_down = engine._site_weights(sample_model(20, seed))
+        assert engine._product(w_up**2 + w_down**2) == np.prod(w_up**2 + w_down**2)
+        for n_sites in (20, _TILE_SITES):
+            w_up, w_down = engine._site_weights(sample_model(n_sites, seed))
+            assert engine._product(w_up + w_down) == np.prod(w_up + w_down)
+
+
+def test_only_the_kernel_calls_prod():
+    # Every per-site product goes through _site_products: no module of the
+    # package calls np.prod, ndarray.prod, math.prod or the like anywhere
+    # but in engine._row_product.
+    found = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_row_product":
+                kernel = (path.name, range(node.lineno, node.end_lineno + 1))
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = [func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")]
+            else:
+                continue
+            if any(name.endswith("prod") for name in names):
+                found.append((path.name, node.lineno))
+    assert len(found) == 1
+    assert found[0][0] == kernel[0] and found[0][1] in kernel[1]
 
 
 # Natural logs of the smallest normal double and of 2^-1075, below which a
