@@ -6,7 +6,7 @@ strongly coupled environment wipes out coherence essentially instantly
 while a weakly coupled one leaves it intact for macroscopic times.
 """
 
-from spinbath.analysis import timescale_estimate, timescale_report
+from spinbath.analysis import TimescaleReport, timescale_estimate
 
 
 def main() -> None:
@@ -14,7 +14,7 @@ def main() -> None:
     for v_ev in (1e-9, 1e-3, 1.0, 1e3, 1e9, 1e15, 1e23):
         print(f"  {v_ev:>10.0e}  {timescale_estimate(v_ev):>12.3e}")
 
-    report = timescale_report(1e23, 1.0)
+    report = TimescaleReport(1e23, 1.0)
     print(f"\nstrong coupling (1e23 eV): {report.t_ds_s:.3e} s")
     print(f"weak coupling   (1 eV):    {report.t_du_s:.3e} s")
     print(f"separation: {report.t_du_s / report.t_ds_s:.1e}x,"

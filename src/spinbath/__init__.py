@@ -22,7 +22,6 @@ from .analysis import (
     r_trajectory,
     recurrence_check,
     timescale_estimate,
-    timescale_report,
 )
 from .config import ExperimentConfig, config_from_dict, config_from_file, parse_observable_spec
 from .engine import (
@@ -92,5 +91,4 @@ __all__ = [
     "sample_observable",
     "single_site_observable",
     "timescale_estimate",
-    "timescale_report",
 ]

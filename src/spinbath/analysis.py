@@ -220,11 +220,6 @@ def timescale_estimate(v_ev: float) -> float:
     return HBAR_EV_S / v_ev
 
 
-def timescale_report(v1_ev: float, v2_ev: float) -> TimescaleReport:
-    """Compare the hbar / V estimates of two interaction strengths."""
-    return TimescaleReport(v1_ev=float(v1_ev), v2_ev=float(v2_ev))
-
-
 def n_scaling_sweep(
     n_list: list[int],
     seed: int,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import fluctuation_stats, n_scaling_sweep, recurrence_check, timescale_report
+from .analysis import TimescaleReport, fluctuation_stats, n_scaling_sweep, recurrence_check
 from .config import (
     COMMANDS,
     ExperimentConfig,
@@ -57,11 +57,10 @@ EXIT_CHECK_FAILED = 4
 # Seed offset separating observable draws from model draws in oracle checks.
 _OBS_SEED_OFFSET = 10**6
 
-# Rows formatted per block, so the text held at once stays bounded.
-_CSV_BLOCK_ROWS = 2**14
-# Floats per _format_floats call: its float64 temporaries (64 KiB) then stay under
-# glibc's 128 KiB mmap threshold and reuse heap pages; 2^14 runs at half the speed.
-_FLOAT_ROWS = 2**13
+# Rows formatted per block, one _format_floats call per float column: its
+# float64 temporaries (64 KiB) then stay under glibc's 128 KiB mmap threshold
+# and reuse heap pages; 2^14 rows run at half the speed.
+_CSV_BLOCK_ROWS = 2**13
 
 
 @functools.cache
@@ -178,14 +177,11 @@ def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
             block = [col[lo : lo + _CSV_BLOCK_ROWS] for col in data]
             text, ties = buffer[: len(block[0])], np.zeros(len(block[0]), bool)
             for j, col in enumerate(block):
-                for s in range(0, len(col), _FLOAT_ROWS):
-                    part = col[s : s + _FLOAT_ROWS]
-                    if col.dtype.kind in "biu":  # + 0 prints bools as 0 and 1
-                        ints = (part + 0).astype("S32")
-                        text[s : s + _FLOAT_ROWS, j] = ints.view("<u8").reshape(-1, 4)
-                    else:
-                        text[s : s + _FLOAT_ROWS, j], undecided = _format_floats(part.astype(float))
-                        ties[s : s + _FLOAT_ROWS] |= undecided
+                if col.dtype.kind in "biu":  # + 0 prints bools as 0 and 1
+                    text[:, j] = (col + 0).astype("S32").view("<u8").reshape(-1, 4)
+                else:
+                    text[:, j], undecided = _format_floats(col.astype(float))
+                    ties |= undecided
             chars = text.view(np.uint8).reshape(len(text), -1)
             chars[:, 31::32] = ord(",")
             chars[:, -1] = ord("\n")
@@ -340,7 +336,7 @@ def _cmd_recurrence(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_timescale(cfg: ExperimentConfig, out: Path) -> int:
     """hbar / V decoherence-time estimates"""
-    report = timescale_report(cfg.v1_ev, cfg.v2_ev)
+    report = TimescaleReport(cfg.v1_ev, cfg.v2_ev)
     _write_json(
         out / "timescale.json",
         cfg.digest,
@@ -473,20 +469,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     options = vars(args)
     config_path = options.pop("config", None)
-    data: dict = {}
-    if config_path is not None:
-        try:
-            cfg = config_from_file(config_path)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        data = cfg.to_dict()
-    data.update({k: v for k, v in options.items() if v is not None})
     try:
+        # The file is validated whole before the flags merge into it.
+        data = config_from_file(config_path).to_dict() if config_path is not None else {}
+        data.update({k: v for k, v in options.items() if v is not None})
         cfg = config_from_dict(data)
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -85,6 +85,8 @@ class ReducedState:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError("reduced state must be 2x2")
+        if not np.isfinite(mat).all():  # NaN would pass every comparison below
+            raise ValueError("reduced state must be finite")
         if abs(np.trace(mat) - 1.0) > 1e-12:
             raise ValueError("reduced state must have unit trace")
         if abs(mat[0, 1] - np.conj(mat[1, 0])) > 1e-12:
@@ -96,22 +98,6 @@ class ReducedState:
             raise ValueError("reduced state must be positive semidefinite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def rho00(self) -> float:
-        return float(self.matrix[0, 0].real)
-
-    @property
-    def rho01(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def rho10(self) -> complex:
-        return complex(self.matrix[1, 0])
-
-    @property
-    def rho11(self) -> float:
-        return float(self.matrix[1, 1].real)
 
 
 def _as_times(t) -> tuple[np.ndarray, bool]:
@@ -391,9 +377,9 @@ def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:
 
     Populations are frozen at |a|^2, |b|^2; the coherence is the initial one
     scaled by the bath-branch overlap of the normalized site states:
-    rho01 = a conj(b) overlap_r(t) / prod_i (|alpha_i|^2 + |beta_i|^2).
+    rho_01 = a conj(b) overlap_r(t) / prod_i (|alpha_i|^2 + |beta_i|^2).
     Without that division the site norms, each within NORM_TOL of 1, would
-    push |rho01| past the populations' bound as N grows.  The convention
+    push |rho_01| past the populations' bound as N grows.  The convention
     matches the dense partial trace entrywise, up to the site norms that the
     dense state keeps.
     """

@@ -68,13 +68,11 @@ class DenseState:
         amps = self.amplitudes
         if amps.ndim != 1 or amps.size != 2 ** (self.n_sites + 1) or amps.size < 4:
             raise ValueError("amplitude count must be 2^(n_sites + 1) with n_sites >= 1")
-        if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
-            raise ValueError("dense state must be normalized")
+        if not np.isfinite(self.t):
+            raise ValueError(f"dense state time must be finite, got {self.t!r}")
+        if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # a NaN or inf norm fails too
+            raise ValueError("dense state must be finite and normalized")
         amps.setflags(write=False)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
 
 
 def _adopt(amps: np.ndarray, n_sites: int, t: float) -> DenseState:
@@ -93,27 +91,34 @@ def _check_cap(n_sites: int, site_cap: int) -> None:
         )
 
 
+def _grow(start: np.ndarray, combine: np.ufunc, sites) -> np.ndarray:
+    """Grow ``start`` along its last axis, one site per (x, y) pair in ``sites``.
+
+    Entry j becomes combine(entry, x) at 2j and combine(entry, y) at 2j + 1, as
+    in np.<combine>.outer; two strided calls per site take a fifth of its time.
+    """
+    for x, y in sites:
+        grown = np.empty((*start.shape[:-1], 2 * start.shape[-1]), start.dtype)
+        combine(start, x, out=grown[..., 0::2])
+        combine(start, y, out=grown[..., 1::2])
+        start = grown
+    return start
+
+
 def _site_field(model: SpinBathModel) -> np.ndarray:
     """Sum of g_i * (+1 for up, -1 for down) for each bath configuration with site 1 up.
 
     Site 1 is the top bit, as in build_initial; the complements, reversed, have the negated sums.
     """
-    field = model.couplings[:1]
-    for g in model.couplings[1:]:  # the sums of np.add.outer, in a fifth of its time
-        grown = np.empty(2 * field.size)
-        np.add(field, g, out=grown[0::2])
-        np.subtract(field, g, out=grown[1::2])
-        field = grown
-    return field
+    rest = model.couplings[1:]
+    return _grow(model.couplings[:1], np.add, zip(rest, -rest))  # a + (-g) is a - g, bit for bit
 
 
 def build_initial(model: SpinBathModel, site_cap: int = DEFAULT_SITE_CAP) -> DenseState:
     """Materialize the t = 0 product state over all 2^(N+1) basis vectors."""
     _check_cap(model.n_sites, site_cap)
     amps = np.array([model.a, model.b], dtype=complex)
-    for alpha, beta in zip(model.alphas, model.betas):
-        amps = np.multiply.outer(amps, np.array([alpha, beta])).ravel()
-    return _adopt(amps, model.n_sites, 0.0)
+    return _adopt(_grow(amps, np.multiply, zip(model.alphas, model.betas)), model.n_sites, 0.0)
 
 
 def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
@@ -186,20 +191,15 @@ def oracle_overlap(model: SpinBathModel, t: float, site_cap: int = DEFAULT_SITE_
     _check_cap(model.n_sites, site_cap)
     turn = np.exp(0.5j * t * model.couplings)
     back = turn.conj()
-    # Site i's (up pair, down pair), grown as one (2, 2^k) chain.
-    pairs = np.stack([model.alphas * turn, model.betas * back, model.alphas * back,
-                      model.betas * turn], axis=1).reshape(-1, 2, 2)
-    both = np.ones((2, 1), dtype=complex)
-    for pair in pairs:  # two strided products, not a broadcast with an inner loop of 2
-        grown = np.empty((2, 2 * both.shape[1]), dtype=complex)
-        np.multiply(both, pair[:, :1], out=grown[:, 0::2])
-        np.multiply(both, pair[:, 1:], out=grown[:, 1::2])
-        both = grown
+    # Both branches as one (2, 2^k) chain: row 0 the up branch, row 1 the down branch.
+    site_up = np.stack([model.alphas * turn, model.alphas * back], axis=1)[..., None]
+    site_down = np.stack([model.betas * back, model.betas * turn], axis=1)[..., None]
+    both = _grow(np.ones((2, 1), dtype=complex), np.multiply, zip(site_up, site_down))
     return complex(np.vdot(both[1], both[0]))
 
 
 def oracle_reduced_state(state: DenseState) -> np.ndarray:
     """2x2 central-qubit density matrix, rho_jk = <half_k|half_j>: exactly Hermitian."""
     up, down = state.amplitudes.reshape(2, -1)
-    rho01 = np.vdot(down, up)
-    return np.array([[np.vdot(up, up).real, rho01], [rho01.conj(), np.vdot(down, down).real]])
+    off = np.vdot(down, up)
+    return np.array([[np.vdot(up, up).real, off], [off.conj(), np.vdot(down, down).real]])

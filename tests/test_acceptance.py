@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from spinbath.analysis import (
+    TimescaleReport,
     decoherence_time,
     fluctuation_stats,
     r_trajectory,
     recurrence_check,
-    timescale_report,
 )
 from spinbath.cli import EXIT_OK, run
 from spinbath.config import config_from_file
@@ -153,7 +153,7 @@ def test_commensurate_recurrence():
 
 
 def test_timescale_hierarchy():
-    rep = timescale_report(1e23, 1.0)
+    rep = TimescaleReport(1e23, 1.0)
     ok = (
         6.5e-39 <= rep.t_ds_s <= 6.7e-39
         and 6.5e-16 <= rep.t_du_s <= 6.7e-16

@@ -18,7 +18,6 @@ from spinbath.analysis import (
     r_trajectory,
     recurrence_check,
     timescale_estimate,
-    timescale_report,
 )
 from spinbath.engine import expectation, overlap_r
 from spinbath.ensemble import commensurate_model, sample_model
@@ -254,20 +253,20 @@ class TestTimescales:
             timescale_estimate(-3.0)
 
     def test_report_hierarchy(self):
-        report = timescale_report(1e23, 1.0)
+        report = TimescaleReport(1e23, 1.0)
         assert report.hierarchy_ok
         assert report.t_ds_s == HBAR_EV_S / 1e23
         assert report.t_du_s == HBAR_EV_S / 1.0
         assert report.t_ds_s < report.t_du_s
 
     def test_report_equal_strengths(self):
-        assert timescale_report(2.0, 2.0).hierarchy_ok
+        assert TimescaleReport(2.0, 2.0).hierarchy_ok
 
     def test_report_rejects_nonpositive_strengths(self):
         with pytest.raises(ValueError, match="positive"):
             TimescaleReport(v1_ev=0.0, v2_ev=1.0)
         with pytest.raises(ValueError, match="positive"):
-            timescale_report(1.0, math.inf)
+            TimescaleReport(1.0, math.inf)
 
 
 class TestScalingSweep:

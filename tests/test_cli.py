@@ -610,6 +610,25 @@ class TestExitCodes:
         code = main(["simulate-r", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_IO
 
+    def test_unreadable_config_is_io_error(self, tmp_path, capsys):
+        assert main(["simulate-r", "--config", str(tmp_path)]) == EXIT_IO
+        assert "error: cannot read config:" in capsys.readouterr().err
+
+    def test_malformed_config_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"command": "simulate-r",')
+        assert main(["simulate-r", "--config", str(cfg_path)]) == EXIT_INVALID
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_file_is_validated_before_flags_merge(self, tmp_path, capsys):
+        # --points 5 would make the merged config valid, but the file alone is not.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"command": "simulate-r", "points": 1}))
+        args = ["simulate-r", "--config", str(cfg_path), "--points", "5"]
+        assert run_cli(args, tmp_path / "out") == EXIT_INVALID
+        assert "need at least two grid points" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unattainable_tolerance(self, tmp_path, capsys):
         code = run_cli(
             ["oracle-check", "--n", "4", "--trials", "2", "--tol", "1e-20"], tmp_path
@@ -655,6 +674,27 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
         assert __version__ in capsys.readouterr().out
+
+
+def test_only_fluctuation_imports_numpy_random(tmp_path):
+    # numpy loads numpy.random on first use, and the import alone adds about
+    # 6 MiB to a run's peak RSS; every other subcommand must do without it.
+    runs = [
+        ["simulate-r", "--n", "5", "--points", "20"],
+        ["simulate-obs", "--n", "5", "--points", "20", "--obs", "random:3"],
+        ["sweep-n", "--n-list", "3,30", "--seeds", "2", "--points", "50"],
+        ["oracle-check", "--n", "4", "--trials", "2"],
+        ["recurrence", "--n", "5"],
+        ["timescale"],
+    ]
+    code = (
+        "import sys\n"
+        "from spinbath.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestConfigObject:

@@ -317,24 +317,24 @@ class TestReducedState:
     def test_up_branch_has_no_coherence(self):
         model = make_model(1.0, 0.0, [(INV, INV, 1.0)])
         for t in (0.0, 2.0):
-            state = reduced_system_state(model, t)
-            assert state.rho00 == pytest.approx(1.0, abs=1e-12)
-            assert state.rho01 == 0.0
+            rho = reduced_system_state(model, t).matrix
+            assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
+            assert rho[0, 1] == 0.0
 
     def test_coherence_modulus_tracks_overlap(self):
         model = sample_model(8, 13)
         for t in (0.3, 4.4, 16.0):
-            state = reduced_system_state(model, t)
-            assert abs(state.rho01) == pytest.approx(
+            rho = reduced_system_state(model, t).matrix
+            assert abs(rho[0, 1]) == pytest.approx(
                 abs(model.a) * abs(model.b) * abs(overlap_r(model, t)), abs=1e-12
             )
 
     def test_populations_are_frozen(self):
         model = sample_model(3, 2, a=0.6, b=0.8j)
         for t in (0.0, 9.0):
-            state = reduced_system_state(model, t)
-            assert state.rho00 == pytest.approx(0.36, abs=1e-12)
-            assert state.rho11 == pytest.approx(0.64, abs=1e-12)
+            rho = reduced_system_state(model, t).matrix
+            assert rho[0, 0].real == pytest.approx(0.36, abs=1e-12)
+            assert rho[1, 1].real == pytest.approx(0.64, abs=1e-12)
 
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ValueError, match="unit trace"):
@@ -345,6 +345,13 @@ class TestReducedState:
             ReducedState(np.array([[0.5, 0.9], [0.9, 0.5]]))
         with pytest.raises(ValueError, match="2x2"):
             ReducedState(np.eye(3) / 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ReducedState(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="finite"):
+            ReducedState(np.array([[0.5, bad], [0.0, 0.5]]))
 
 
 class TestStableProducts:
