@@ -74,9 +74,12 @@ def _csv_tables() -> dict:
     digit c at byte 7 + c left of the point, at 8 + c right of it, and the point.
     """
     pow10, form, affix = [], [], []
-    for x in range(-324, 309):
-        s = 116 - math.floor((16 - x) * math.log2(10))  # 10^(16 - x) 2^s has ~117 bits
-        q = (10 ** max(16 - x, 0) << max(s, 0)) // (10 ** max(x - 16, 0) << max(-s, 0))
+    # q = floor(10^(16 - x) 2^s) from floor(10^(16 - x) 2^S) at the largest s, // 10 a step.
+    shifts = [116 - math.floor((16 - x) * math.log2(10)) for x in range(-324, 309)]
+    chain = 10**340 << shifts[-1]
+    for x, s in zip(range(-324, 309), shifts):  # 10^(16 - x) 2^s has ~117 bits
+        q = chain >> (shifts[-1] - s)
+        chain //= 10
         pow10.append((float(q), float(q - int(float(q))), -s))
         fixed = -4 <= x < 17
         form.append(17 * (x + 4 if fixed else 21))

@@ -18,9 +18,10 @@ multiplying frexp mantissas would give, whichever bound scaled it.  The few
 time points whose block product falls below that floor, or to 0, are
 recomputed from factors split one by one into mantissa and exponent.
 Results underflow gradually the way IEEE doubles do: subnormal where the
-true value is, exactly 0 only below 2^-1074.  Factors are built one tile of
-at most 2^14 site-times at a time (16 sites x 1024 times on a long grid), so
-a call holds O(N + T) memory, never an (N, T) matrix.
+true value is, exactly 0 only below 2^-1074, and a point certainly below
+2^-1075 after a block is not multiplied further.  Factors are built one tile
+of at most 2^14 site-times (16 sites x 1024 times on a long grid), so a call
+holds O(N + T) memory, never an (N, T) matrix.
 
 Every factor depends on time only through the rotation e^(i g t) of its
 site.  When the times form an evenly spaced grid (every t_k within
@@ -73,6 +74,12 @@ _TILE_SITES = 1000
 # A block product whose larger component is below _FLOOR may have passed
 # through the subnormal range; those points take the per-element split.
 _FLOOR = 2.0**-960
+# After a _fold a running product is m 2^e with the larger of |Re m|, |Im m|
+# in [0.5, 1), so |m| < sqrt(2), and every later factor has modulus at most 1
+# up to a few ulp.  Once e <= _DROP, each component of the final product is
+# below sqrt(2) 2^-1077 (1 + O(N eps)) < 2^-1075, half the least subnormal, and
+# rounds to the +0.0 (after `out += 0`) that m 2^e gives: it is not multiplied.
+_DROP = -1077
 
 
 @dataclass(frozen=True)
@@ -184,12 +191,6 @@ def _fold(mantissa: np.ndarray, exponent: np.ndarray, block: np.ndarray) -> None
     exponent += carry
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def _even_step(times: np.ndarray) -> float | None:
     """Spacing h of an evenly spaced grid, or None for any other grid.
 
@@ -206,6 +207,18 @@ def _even_step(times: np.ndarray) -> float | None:
         slack = 2.0 * np.spacing(max(abs(times[0]), abs(times[-1])))
         grid = np.arange(times.size) * step + times[0]
         return float(step) if np.all(np.abs(times - grid) <= slack) else None
+
+
+def _scratch(dtype=float):
+    """``take(rows, cols)``: a C-contiguous view of one buffer, reallocated only to grow."""
+    store = [np.empty(0, dtype)]
+
+    def take(rows, cols):
+        if store[0].size < rows * cols:
+            store[0] = np.empty(rows * cols, dtype)
+        return store[0][: rows * cols].reshape(rows, cols)
+
+    return take
 
 
 def _site_products(
@@ -230,7 +243,9 @@ def _site_products(
     angle addition: each run of b = isqrt(cols) points takes one coarse
     rotation at its first, actual time and one fine rotation g p h per offset
     p, and t_(qb+p) gets their product.  On any other grid b = 1 and cos, sin
-    are taken of every g t directly.
+    are taken of every g t directly.  Points at or below _DROP in every product
+    after a block are certainly 0: later tiles span only the window between a
+    chunk's first and last other points, each element computed as before.
     """
     fraction, powers = np.frexp(bound)
     powers -= fraction == 0.5
@@ -241,27 +256,42 @@ def _site_products(
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
     offsets = np.arange(run) * (step or 0.0)
+    coarse, fine, rotation = _scratch(complex), _scratch(complex), _scratch(complex)
     results = None
     for c in range(0, max(times.size, 1), cols):
         t = times[c : c + cols]
+        lo, hi = 0, t.size
         running = None
-        for lo in range(0, couplings.size, rows):
-            sites = slice(lo, lo + rows)
+        for first_site in range(0, couplings.size, rows):
+            sites = slice(first_site, first_site + rows)
             g = couplings[sites, None]
-            phase = g * t[::run]
-            cos, sin = np.cos(phase), np.sin(phase)
             if run > 1:
-                coarse, fine = _complex(cos, sin), g * offsets
-                rotation = coarse[:, :, None] * _complex(np.cos(fine), np.sin(fine))[:, None, :]
-                rotation = rotation.reshape(g.size, -1)[:, : t.size]
-                cos, sin = rotation.real, rotation.imag
+                first = lo - lo % run  # the first time of the run that holds lo
+                rot_c, rot_f = coarse(g.size, -(-(hi - first) // run)), fine(g.size, run)
+                for out, x in ((rot_c, t[first:hi:run]), (rot_f, offsets)):
+                    np.cos(np.multiply(g, x, out=out.imag), out=out.real)
+                    np.sin(out.imag, out=out.imag)
+                rot = rotation(g.size, rot_c.shape[1] * run)
+                np.multiply(rot_c[:, :, None], rot_f[:, None, :], out=rot.reshape(g.size, -1, run))
+                cos, sin = rot.real[:, lo - first : hi - first], rot.imag[:, lo - first : hi - first]
+            else:
+                angle = g * t[lo:hi]
+                cos, sin = np.cos(angle), np.sin(angle)
             blocks = factors(cos, sin, *(column[sites] for column in columns))
             if running is None:
                 running = [
                     (np.ones(t.size, b.dtype), np.full(t.size, scale, np.int64)) for b in blocks
                 ]
             for (mantissa, exponent), block in zip(running, blocks):
-                _fold(mantissa, exponent, block)
+                _fold(mantissa[lo:hi], exponent[lo:hi], block)
+            if lo < hi and min(max(e[i] for _, e in running) for i in (lo, hi - 1)) > _DROP:
+                continue  # both ends live: the window stays
+            live = lo + np.flatnonzero(np.any([e[lo:hi] > _DROP for _, e in running], axis=0))
+            if not live.size:
+                break
+            # numpy multiplies a 1-element array in place on a scalar path that
+            # rounds complex products apart from its vector path: keep 2 points.
+            lo, hi = min(live[0], max(lo, live[-1] - 1)), max(live[-1] + 1, min(hi, live[0] + 2))
         if results is None:
             results = [np.empty(times.size, mantissa.dtype) for mantissa, _ in running]
         for (mantissa, exponent), result in zip(running, results):
@@ -292,13 +322,16 @@ def _expectation_products(
     # The summed moduli bound the modulus of all three factors.
     bound = sum(np.abs(c) for c in columns)
 
+    takes = _scratch(), _scratch(), _scratch(), _scratch(complex)
+
     def factors(cos, sin, static, cross_re, cross_im, up_minus_down):
-        even = static + cross_re * cos
-        odd = cross_im * sin
-        g1 = np.empty(cos.shape, complex)
-        g1.real = static * cos + cross_re
-        g1.imag = up_minus_down * sin
-        return even + odd, even - odd, g1
+        even, odd, minus, g1 = (take(*cos.shape) for take in takes)
+        np.add(static, np.multiply(cross_re, cos, out=even), out=even)
+        np.multiply(cross_im, sin, out=odd)
+        np.subtract(even, odd, out=minus)
+        np.add(np.multiply(static, cos, out=g1.real), cross_re, out=g1.real)
+        np.multiply(up_minus_down, sin, out=g1.imag)
+        return np.add(even, odd, out=even), minus, g1
 
     return _site_products(factors, model.couplings, times, bound, columns)
 
@@ -343,10 +376,12 @@ def overlap_r(model: SpinBathModel, t):
     w_up, w_down = _site_weights(model)
     w_sum = w_up + w_down
 
+    take = _scratch(complex)
+
     def factors(cos, sin, w_sum, w_diff):
-        f = np.empty(cos.shape, complex)
-        f.real = w_sum * cos
-        f.imag = w_diff * sin
+        f = take(*cos.shape)
+        np.multiply(w_sum, cos, out=f.real)
+        np.multiply(w_diff, sin, out=f.imag)
         return (f,)
 
     out = _site_products(factors, model.couplings, times, w_sum, (w_sum, w_up - w_down))[0]

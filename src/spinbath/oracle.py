@@ -22,6 +22,7 @@ block every axis is back in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,9 @@ def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
     """
     if state.n_sites != model.n_sites:
         raise ValueError(f"state has {state.n_sites} sites, model has {model.n_sites}")
+    # Checked before the trig, which warns on an infinite phase.
+    if not (math.isfinite(t) and math.isfinite(float(state.t) + float(t))):
+        raise ValueError(f"dense state time must be finite, got {state.t!r} + {t!r}")
     field = _site_field(model)
     q = field.size
     amps = np.empty(4 * q, dtype=complex)

@@ -265,6 +265,23 @@ class TestFloatWriter:
             tracemalloc.stop()
         assert peak <= 5 * 2**20
 
+    def test_power_tables_match_the_direct_construction(self):
+        # The reference takes one big power, and for x > 16 one big division,
+        # per decimal exponent x.
+        pow10 = []
+        for x in range(-324, 309):
+            s = 116 - math.floor((16 - x) * math.log2(10))
+            q = (10 ** max(16 - x, 0) << max(s, 0)) // (10 ** max(x - 16, 0) << max(-s, 0))
+            pow10.append((float(q), float(q - int(float(q))), -s))
+        hi, lo, scale = np.array(pow10).T
+        hh = 134217729.0 * hi
+        hh -= hh - hi
+        reference = {"hh": hh, "hl": hi - hh, "lo": lo, "scale": scale.astype(np.int32)}
+        tables = cli._csv_tables()
+        for name, table in reference.items():
+            assert tables[name].dtype == table.dtype
+            assert np.array_equal(tables[name], table)
+
     def test_tables_are_built_on_first_write_not_at_import(self):
         code = "import spinbath.cli as c; assert c._csv_tables.cache_info().currsize == 0"
         subprocess.run([sys.executable, "-c", code], check=True)

@@ -503,18 +503,29 @@ class TestSplitFallback:
                     assert mantissa[0] == got[0][j] and exponent[0] == got[1][j]
 
     @pytest.mark.parametrize("near_balanced", [1000, 2000])
-    def test_envelope_blocks_below_the_floor(self, fallback_points, near_balanced):
+    def test_envelope_blocks_below_the_floor(self, monkeypatch, fallback_points, near_balanced):
         # (2u - 1)^2 = 1.02 * 2^-20 per near-balanced site: scaled by 2^-19 it
         # is 0.51, and 0.51^1000 = 2^-971 in a block of _TILE_SITES sites, so
-        # each block of them takes the fallback.  The other sites have u = 1
-        # and factor 1.  The envelope, 2^-19971 or 2^-39943, rounds to 0.
+        # each block of them that is multiplied takes the fallback.  The other
+        # sites have u = 1 and factor 1.  After the first block the running
+        # envelope is 2^-19971 or 2^-38971 (the scale of every site counts from
+        # the start), certainly 0, so the second block is not multiplied.
         assert _TILE_SITES == 1000
+        folds = [0]
+        fold = engine._fold
+
+        def counting_fold(*args):
+            folds[0] += 1
+            fold(*args)
+
+        monkeypatch.setattr(engine, "_fold", counting_fold)
         u = 0.5 * (1.0 + 2.0**-10 * math.sqrt(1.02))
         sites = [(math.sqrt(u), math.sqrt(1.0 - u), 1.0)] * near_balanced
         sites += [(1.0, 0.0, 1.0)] * (2000 - near_balanced)
         model = make_model(INV, INV, sites)
         lower, _ = r_squared_bounds(model)
-        assert fallback_points[0] == near_balanced // 1000
+        assert folds[0] == 1  # of two blocks: the point was dropped after the first
+        assert fallback_points[0] == folds[0]
         w_up = model.alphas.real**2 + model.alphas.imag**2
         log2_lower = math.fsum(np.log2((2.0 * w_up - 1.0) ** 2))
         assert log2_lower < -1074
@@ -641,6 +652,115 @@ class TestProduct:
         for n_sites in (20, _TILE_SITES):
             w_up, w_down = engine._site_weights(sample_model(n_sites, seed))
             assert engine._product(w_up + w_down) == np.prod(w_up + w_down)
+
+
+def _recording(monkeypatch):
+    """Counts the site-points that every ``_site_products`` call hands to ``factors``."""
+    count = [0]
+    kernel = engine._site_products
+
+    def recording_kernel(factors, *args):
+        def recording_factors(cos, sin, *columns):
+            count[0] += cos.size
+            return factors(cos, sin, *columns)
+
+        return kernel(recording_factors, *args)
+
+    monkeypatch.setattr(engine, "_site_products", recording_kernel)
+    return count
+
+
+class TestDrop:
+    """Points certainly below 2^-1075 after a block are not multiplied further."""
+
+    @staticmethod
+    def _products(values_re, values_im=None):
+        """The kernel's product of one value per site at one time, and the site-points it multiplied."""
+        count = [0]
+        columns = (values_re,) if values_im is None else (values_re, values_im)
+        bound = np.abs(values_re) if values_im is None else np.hypot(values_re, values_im)
+
+        def factors(cos, sin, *scaled):
+            count[0] += cos.size
+            return (scaled[0],) if len(scaled) == 1 else (scaled[0] + 1j * scaled[1],)
+
+        out = engine._site_products(factors, np.zeros(len(values_re)), np.zeros(1), bound, columns)
+        return out[0][0], count[0]
+
+    @pytest.mark.parametrize("halves", [1074, 1075, 1076, 1077, 1078])
+    def test_halves_then_ones(self, halves):
+        # Each 1/2 is scaled to 1 and its 2^-1 goes to the exponent up front,
+        # so the first block leaves m = 1/2 at e = 1 - halves: -1076 at 1077
+        # halves is kept, -1077 at 1078 is dropped.  2^-1074 is the least
+        # subnormal, and 2^-1075 rounds to 0 (a tie, to even).
+        assert _TILE_SITES == 1000
+        values = np.concatenate([np.full(halves, 0.5), np.ones(5000)])
+        product, site_points = self._products(values)
+        assert product == (2.0**-1074 if halves == 1074 else 0.0)
+        assert not math.copysign(1.0, product) < 0
+        assert site_points == (1000 if halves == 1078 else values.size)
+        assert engine._product(values) == product
+
+    def test_complex_product_that_grows_after_the_drop(self, monkeypatch):
+        # The first block multiplies to (0.98 + 0.98i) 2^-1077 after 2^-500
+        # and 2^-576 go to the exponent, and is dropped.  The second block's
+        # 0.7 - 0.7i would turn it into 1.372 2^-1077: its larger component
+        # grows by 1.4, about sqrt(2), and still rounds to +0.0.
+        re, im = np.ones(2000), np.zeros(2000)
+        re[:4] = 2.0**-500, 2.0**-576, 0.7, 0.7
+        im[2] = 0.7
+        re[1000], im[1000] = 0.7, -0.7
+        dropped, site_points = self._products(re, im)
+        assert site_points == 1000
+        monkeypatch.setattr(engine, "_DROP", -math.inf)
+        full, site_points = self._products(re, im)
+        assert site_points == 2000
+        for value in (dropped, full):
+            assert value == 0
+            assert not np.signbit(value.real) and not np.signbit(value.imag)
+
+    def test_most_of_a_large_bath_is_not_multiplied(self, monkeypatch):
+        model = sample_model(10_000, 5)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 400)
+        plain = overlap_r(model, times)
+        count = _recording(monkeypatch)
+        recorded = overlap_r(model, times)
+        assert 0 < count[0] < model.n_sites * times.size
+        assert np.array_equal(recorded, plain)
+        assert np.count_nonzero(plain == 0) > 0
+
+    def test_a_small_bath_is_multiplied_in_full(self, monkeypatch):
+        model = sample_model(48, 0)
+        obs = sample_observable(48, 10**6)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 200_000)
+        plain = _expectation_products(model, obs, times)
+        count = _recording(monkeypatch)
+        recorded = _expectation_products(model, obs, times)
+        assert count[0] == model.n_sites * times.size
+        for a, b in zip(recorded, plain):
+            assert np.array_equal(a, b)
+
+    def test_an_empty_grid_gives_empty_products(self):
+        model, obs = sample_model(5, 1), sample_observable(5, 2)
+        assert overlap_r(model, np.array([])).shape == (0,)
+        assert all(p.shape == (0,) for p in _expectation_products(model, obs, np.array([])))
+
+    @pytest.mark.parametrize("even", [True, False])
+    @pytest.mark.parametrize("n_sites, points", [(10_000, 400), (3000, 400), (300, 5000)])
+    def test_dropping_keeps_every_bit(self, monkeypatch, even, n_sites, points):
+        # With _DROP at -inf every site is multiplied at every point.  The
+        # uneven grid at N = 10^4 narrows a window to one live point, which
+        # keeps a dead neighbour: numpy multiplies a 1-element complex array
+        # in place on a path that rounds differently.
+        model = sample_model(n_sites, 5)
+        t_max = 100.0 / model.mean_coupling
+        if even:
+            times = np.linspace(0.0, t_max, points)
+        else:
+            times = np.sort(np.random.default_rng(n_sites + points).uniform(0.0, t_max, points))
+        dropped = overlap_r(model, times)
+        monkeypatch.setattr(engine, "_DROP", -math.inf)
+        assert np.array_equal(overlap_r(model, times), dropped)
 
 
 def test_only_the_kernel_calls_prod():

@@ -4,6 +4,7 @@ import ast
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,18 @@ class TestEvolve:
         model = sample_model(3, 0)
         with pytest.raises(ValueError, match="finite"):
             evolve(build_initial(model), model, math.nan)
+
+    @pytest.mark.parametrize("start, t", [(0.0, math.inf), (0.0, -math.inf), (1e308, 1e308)])
+    def test_non_finite_time_is_rejected_before_the_rotation(self, start, t):
+        # cos of an infinite phase would warn before the state's own check.
+        model = sample_model(3, 0)
+        state = build_initial(model)
+        if start:
+            state = evolve(state, model, start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                evolve(state, model, t)
 
     def test_model_state_mismatch(self):
         state = build_initial(sample_model(3, 0))
