@@ -20,20 +20,23 @@ recomputed from factors split one by one into mantissa and exponent.
 Results underflow gradually the way IEEE doubles do: subnormal where the
 true value is, exactly 0 only below 2^-1074, and a point certainly below
 2^-1075 after a block is not multiplied further.  Factors are built one tile
-of at most 2^14 site-times (16 sites x 1024 times on a long grid), so a call
+of at most 2^15 site-times (32 sites x 1024 times on a long grid), so a call
 holds O(N + T) memory, never an (N, T) matrix.
 
-Every factor depends on time only through the rotation e^(i g t) of its
-site.  When the times form an evenly spaced grid (every t_k within
-2 ulp(max |t|) of t_0 + k h, as np.linspace gives), the rotation is built by
-angle addition: runs of b = isqrt(tile width) points share one cos/sin at
-the run's first, actual time, each offset p within a run has one cos/sin of
-g p h, and the rotation at every point is their complex product.  A tile of
-width 1024 (b = 32) thus takes 32 + 32 cos/sin pairs per site instead of
-1024.  This moves each phase by at most about |g| 4 ulp(max |t|), the same
-order as the rounding of g t itself.  Any other grid, and a scalar time,
-takes cos and sin of every g t directly and gives exactly the values a
-direct evaluation gives.
+Every per-site factor is f = a + b cos(g t) + c sin(g t): callers give the
+coefficients (a, b, c).  On an evenly spaced grid (every t_k within
+2 ulp(max |t|) of t_0 + k h, as np.linspace gives), runs of L = isqrt(tile
+width) points share a coarse angle alpha = g t at the run's first, actual
+time, the offset p in a run has a fine angle beta = g p h, and by angle
+addition f = a + P cos beta + Q sin beta with P = b cos alpha + c sin alpha,
+Q = c cos alpha - b sin alpha.  Per site, [1, cos alpha, sin alpha] times the
+rotated coefficients is [a, P, Q], and that times [1, cos beta, sin beta] is
+the tile: two matrix products and 32 + 32 cos/sin pairs for 1024 times.  The
+phase moves by at most about |g| 4 ulp(max |t|), the order of the rounding of
+g t itself.  Other grids and scalar times take L = 1 and beta = 0, so f = a + P
+is [1, cos g t, sin g t] times [a, b, c]: one matrix product per site.
+The products go through BLAS, so the bytes depend on its kernels (fused
+multiply-add or not) and numpy's SIMD level; values agree to a few ulp.
 
 Every public function accepts a scalar time or a 1-D array of times and
 returns a matching scalar or array.
@@ -41,6 +44,7 @@ returns a matching scalar or array.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,24 +55,19 @@ from .model import RelevantObservable, SpinBathModel
 # Factors are built and multiplied in tiles of at most _TILE_TIMES times and
 # _TILE_ELEMENTS (sites x times) elements, and at most _TILE_SITES sites: a
 # product of _TILE_SITES split mantissas, each with its larger component in
-# [0.5, 1), stays above 2^-1000, still a normal double.  Medians of 10
-# alternating rounds on a shared 2-core x86-64 machine, numpy 2.4: overlap_r
-# at N = 10^4, T = 2000; expectation at N = 48, T = 2e5; overlap_r at N = 30,
-# 300, 3000 and 10^4, T = 400; and the traced peak of _expectation_products at
-# N = 48, T = 2e5 (6.1 MiB of it the results).
+# [0.5, 1), stays above 2^-1000, still a normal double.  Medians of 2 x 10
+# alternating rounds on a shared 2-core x86-64 machine, numpy 2.4, OpenBLAS
+# Haswell kernels: overlap_r at N = 10^4, T = 2000; expectation at N = 48,
+# T = 2e5; overlap_r at N = 30, 300, 3000 and 10^4, T = 400; and the traced
+# peaks of _expectation_products at N = 48, T = 2e5 (6.1 MiB of it the
+# results) and of overlap_r at N = 10^4, T = 2000.
 #
-#   elements  times x sites  overlap  expectation  T = 400  peak
-#   2^13      2000 x 4       0.394 s  0.421 s      0.112 s  7.05 MiB
-#   2^13      1024 x 8       0.381 s  0.396 s      0.111 s  6.99 MiB
-#   2^14      2000 x 8       0.338 s  0.390 s      0.094 s  7.80 MiB
-#   2^14      1024 x 16      0.325 s  0.343 s      0.092 s  7.75 MiB
-#   2^14       512 x 32      0.373 s  0.400 s      0.096 s  7.47 MiB
-#   2^14       256 x 64      0.353 s  0.402 s      0.102 s  7.33 MiB
-#   2^15      1024 x 32      0.310 s  0.328 s      0.092 s  8.73 MiB
-#
-# 2^15 holds more than the 2 MiB beside the results that
-# test_products_write_time_chunks_in_place allows.
-_TILE_ELEMENTS = 2**14
+#   elements  times x sites  overlap  expectation  T = 400  peak      overlap peak
+#   2^14      1024 x 16      0.154 s  0.149 s      0.047 s  6.85 MiB  1.33 MiB
+#   2^15      1024 x 32      0.113 s  0.128 s      0.039 s  7.47 MiB  1.68 MiB
+#   2^16      1024 x 64      0.102 s  0.111 s      0.037 s  8.10 MiB  2.39 MiB
+# 2^16 buys 10% for 0.7 MiB more and no room in test_products_write_time_chunks_in_place.
+_TILE_ELEMENTS = 2**15
 _TILE_TIMES = 1024
 _TILE_SITES = 1000
 # A block product whose larger component is below _FLOOR may have passed
@@ -176,8 +175,7 @@ def _fold(mantissa: np.ndarray, exponent: np.ndarray, block: np.ndarray) -> None
     0, are recomputed from split factors, unless the running product is
     already exactly 0 and stays so.
     """
-    fold = _row_product(block)
-    fold *= mantissa
+    fold = np.multiply(_row_product(block), mantissa)
     magnitude = _magnitude(fold)
     low = np.flatnonzero(magnitude < _FLOOR)
     if low.size:
@@ -222,80 +220,95 @@ def _scratch(dtype=float):
 
 
 def _site_products(
-    factors, couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, columns
+    couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, coefficients
 ) -> list[np.ndarray]:
-    """Products over all sites of each factor that ``factors`` builds.
+    """Products over all sites of a + b cos(g t) + c sin(g t), one per triple.
 
-    ``bound`` bounds the modulus of every factor of each site.  The kernel
-    divides that site's entries of ``columns`` by the least power of two at or
-    above it, and ``factors(cos, sin, *scaled)`` gets cos and sin of g t over
-    a tile of sites and times with those sites' scaled coefficients as
-    (sites, 1) columns.  It returns a tuple of (sites, times) arrays, real or
-    complex, and the result holds one array over ``times`` per entry.  Each
-    running product keeps a mantissa and an integer exponent per time point
-    and is renormalized after every site block by ``_fold``, which splits
-    factors one by one only at points whose block product left the normal
-    range; the only rounding to the double range is the final ldexp.
+    ``coefficients`` holds one (a, b, c) triple per product, each a per-site
+    array or a scalar; a product is complex where any of them is.  ``bound``
+    bounds every factor of a site, whose coefficients are divided by the least
+    power of two at or above it.  Each running product keeps a mantissa and an
+    integer exponent per time point, renormalized by ``_fold`` after every site
+    block; the only rounding to the double range is the final ldexp.
 
-    A tile spans at most _TILE_TIMES times and _TILE_ELEMENTS elements, so
-    1024 times take blocks of 16 sites and a scalar time blocks of
-    _TILE_SITES.  On an evenly spaced grid the rotation e^(i g t) is built by
-    angle addition: each run of b = isqrt(cols) points takes one coarse
-    rotation at its first, actual time and one fine rotation g p h per offset
-    p, and t_(qb+p) gets their product.  On any other grid b = 1 and cos, sin
-    are taken of every g t directly.  Points at or below _DROP in every product
-    after a block are certainly 0: later tiles span only the window between a
-    chunk's first and last other points, each element computed as before.
+    A tile spans at most _TILE_TIMES times and _TILE_ELEMENTS elements (1024
+    times take blocks of 32 sites) and is built as the module docstring says,
+    batched over its sites; a complex product's parts meet a block-diagonal
+    fine stack and come out interleaved.  The angle stack has at least two
+    rows: BLAS multiplies a one-row matrix on a path that rounds apart.
+    Points at or below _DROP in every product after a block are certainly 0:
+    later tiles span only the live window, each element computed as before.
     """
     fraction, powers = np.frexp(bound)
     powers -= fraction == 0.5
-    columns = [np.ldexp(column, -powers)[:, None] for column in columns]
     scale = int(powers.sum())
+    widths = [1 + (np.result_type(*triple).kind == "c") for triple in coefficients]
+    *starts, parts = itertools.accumulate([0, *widths])  # each product's first part, and all
+    dtypes = [complex if w > 1 else float for w in widths]
+    # (sites, 3, parts): a, b, c over the bound; a complex product has a (re, im) pair of parts.
+    scaled = np.empty((couplings.size, 3, parts))
+    for triple, j, w, d in zip(coefficients, starts, widths, dtypes):
+        part = scaled[:, :, j : j + w].view(d)[..., 0]
+        for i, x in enumerate(triple):
+            part[:, i] = x
+    np.ldexp(scaled, -powers[:, None, None], out=scaled)
     cols = max(1, min(times.size, _TILE_TIMES))
-    rows = min(_TILE_SITES, _TILE_ELEMENTS // cols)
+    rows = min(_TILE_SITES, _TILE_ELEMENTS // cols, couplings.size)
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
     offsets = np.arange(run) * (step or 0.0)
-    coarse, fine, rotation = _scratch(complex), _scratch(complex), _scratch(complex)
-    results = None
-    for c in range(0, max(times.size, 1), cols):
-        t = times[c : c + cols]
+    rotation = np.zeros((rows, 3, parts, 3))
+    fine, fine_pair = np.ones((rows, 3, run)), np.zeros((rows, 2, 3, run, 2))
+    take_angles, take_coarse = _scratch(), _scratch()
+    takes = [_scratch(dtype) for dtype in dtypes]
+    results = [np.empty(times.size, dtype) for dtype in dtypes]
+    for chunk in range(0, max(times.size, 1), cols):
+        t = times[chunk : chunk + cols]
         lo, hi = 0, t.size
-        running = None
+        running = [(np.ones(t.size, d), np.full(t.size, scale, np.int64)) for d in dtypes]
         for first_site in range(0, couplings.size, rows):
             sites = slice(first_site, first_site + rows)
             g = couplings[sites, None]
-            if run > 1:
-                first = lo - lo % run  # the first time of the run that holds lo
-                rot_c, rot_f = coarse(g.size, -(-(hi - first) // run)), fine(g.size, run)
-                for out, x in ((rot_c, t[first:hi:run]), (rot_f, offsets)):
-                    np.cos(np.multiply(g, x, out=out.imag), out=out.real)
-                    np.sin(out.imag, out=out.imag)
-                rot = rotation(g.size, rot_c.shape[1] * run)
-                np.multiply(rot_c[:, :, None], rot_f[:, None, :], out=rot.reshape(g.size, -1, run))
-                cos, sin = rot.real[:, lo - first : hi - first], rot.imag[:, lo - first : hi - first]
+            n = g.size
+            first = lo - lo % run  # the first time of the run that holds lo
+            origins = t[first:hi:run]
+            runs = 2 if origins.size == 1 else origins.size  # a lone run goes in twice
+            angles = take_angles(n, 3 * runs).reshape(n, 3, runs)
+            angles[:, 0] = 1.0
+            alpha = np.multiply(g, origins, out=angles[:, 1])
+            np.sin(alpha, out=angles[:, 2])
+            np.cos(alpha, out=alpha)
+            if run == 1:  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
+                f = take_coarse(n, runs * parts).reshape(n, runs, parts)
+                np.matmul(angles.transpose(0, 2, 1), scaled[sites], out=f)
+                pieces = zip(starts, widths, dtypes)
+                tiles = [f[..., j : j + w].view(d)[..., 0] for j, w, d in pieces]
             else:
-                angle = g * t[lo:hi]
-                cos, sin = np.cos(angle), np.sin(angle)
-            blocks = factors(cos, sin, *(column[sites] for column in columns))
-            if running is None:
-                running = [
-                    (np.ones(t.size, b.dtype), np.full(t.size, scale, np.int64)) for b in blocks
-                ]
-            for (mantissa, exponent), block in zip(running, blocks):
-                _fold(mantissa[lo:hi], exponent[lo:hi], block)
+                a, b, c = scaled[sites].transpose(1, 0, 2)
+                rotation[:n, 0, :, 0], rotation[:n, 1, :, 1] = a, b
+                rotation[:n, 2, :, 1] = rotation[:n, 1, :, 2] = c
+                np.negative(b, out=rotation[:n, 2, :, 2])
+                beta = np.multiply(g, offsets, out=fine[:n, 1])
+                np.sin(beta, out=fine[:n, 2])
+                np.cos(beta, out=beta)
+                fine_pair[:n, 0, :, :, 0] = fine_pair[:n, 1, :, :, 1] = fine[:n]
+                coarse = take_coarse(n, runs * 3 * parts).reshape(n, runs, 3 * parts)
+                np.matmul(angles.transpose(0, 2, 1), rotation[:n].reshape(n, 3, -1), out=coarse)
+                tiles = [take(n, runs * run) for take in takes]
+                for tile, j, w in zip(tiles, starts, widths):
+                    right = (fine if w == 1 else fine_pair)[:n].reshape(n, 3 * w, -1)
+                    out = tile.view(float).reshape(n, runs, w * run)
+                    np.matmul(coarse[..., 3 * j : 3 * j + 3 * w], right, out=out)
+            for (mantissa, exponent), tile in zip(running, tiles):
+                _fold(mantissa[lo:hi], exponent[lo:hi], tile[:, lo - first : hi - first])
             if lo < hi and min(max(e[i] for _, e in running) for i in (lo, hi - 1)) > _DROP:
                 continue  # both ends live: the window stays
             live = lo + np.flatnonzero(np.any([e[lo:hi] > _DROP for _, e in running], axis=0))
             if not live.size:
                 break
-            # numpy multiplies a 1-element array in place on a scalar path that
-            # rounds complex products apart from its vector path: keep 2 points.
-            lo, hi = min(live[0], max(lo, live[-1] - 1)), max(live[-1] + 1, min(hi, live[0] + 2))
-        if results is None:
-            results = [np.empty(times.size, mantissa.dtype) for mantissa, _ in running]
+            lo, hi = live[0], live[-1] + 1
         for (mantissa, exponent), result in zip(running, results):
-            out = _ldexp(mantissa, exponent, out=result[c : c + cols])
+            out = _ldexp(mantissa, exponent, out=result[chunk : chunk + cols])
             # Adding 0 turns a negative number that underflowed to -0.0 into +0.0.
             out += 0
     return results
@@ -304,7 +317,7 @@ def _site_products(
 def _expectation_products(
     model: SpinBathModel, obs: RelevantObservable, times: np.ndarray
 ) -> list[np.ndarray]:
-    """gamma0 at +t, gamma0 at -t and gamma1, from one rotation per tile.
+    """gamma0 at +t, gamma0 at -t and gamma1 from one kernel call.
 
     With cross = conj(alpha) beta eps_ud, the per-site factors are
 
@@ -318,22 +331,14 @@ def _expectation_products(
     static, up_minus_down = up + down, up - down
     cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
     cross_re, cross_im = 2.0 * cross.real, 2.0 * cross.imag
-    columns = static, cross_re, cross_im, up_minus_down
     # The summed moduli bound the modulus of all three factors.
-    bound = sum(np.abs(c) for c in columns)
-
-    takes = _scratch(), _scratch(), _scratch(), _scratch(complex)
-
-    def factors(cos, sin, static, cross_re, cross_im, up_minus_down):
-        even, odd, minus, g1 = (take(*cos.shape) for take in takes)
-        np.add(static, np.multiply(cross_re, cos, out=even), out=even)
-        np.multiply(cross_im, sin, out=odd)
-        np.subtract(even, odd, out=minus)
-        np.add(np.multiply(static, cos, out=g1.real), cross_re, out=g1.real)
-        np.multiply(up_minus_down, sin, out=g1.imag)
-        return np.add(even, odd, out=even), minus, g1
-
-    return _site_products(factors, model.couplings, times, bound, columns)
+    bound = sum(np.abs(c) for c in (static, cross_re, cross_im, up_minus_down))
+    coefficients = (
+        (static, cross_re, cross_im),
+        (static, cross_re, -cross_im),
+        (cross_re, static, 1j * up_minus_down),
+    )
+    return _site_products(model.couplings, times, bound, coefficients)
 
 
 def expectation(model: SpinBathModel, obs: RelevantObservable, t):
@@ -366,6 +371,13 @@ def expectation(model: SpinBathModel, obs: RelevantObservable, t):
     return float(out[0]) if scalar else out
 
 
+def _overlap_coefficients(model: SpinBathModel):
+    """Bound and (a, b, c) of each site's factor |alpha|^2 e^(i g t) + |beta|^2 e^(-i g t)."""
+    w_up, w_down = _site_weights(model)
+    w_sum = w_up + w_down
+    return w_sum, (0, w_sum, 1j * (w_up - w_down))
+
+
 def overlap_r(model: SpinBathModel, t):
     """Overlap of the two bath branches:  prod_i (|alpha_i|^2 e^(i g_i t) + |beta_i|^2 e^(-i g_i t)).
 
@@ -373,28 +385,15 @@ def overlap_r(model: SpinBathModel, t):
     Satisfies overlap_r(-t) == conj(overlap_r(t)).
     """
     times, scalar = _as_times(t)
-    w_up, w_down = _site_weights(model)
-    w_sum = w_up + w_down
-
-    take = _scratch(complex)
-
-    def factors(cos, sin, w_sum, w_diff):
-        f = take(*cos.shape)
-        np.multiply(w_sum, cos, out=f.real)
-        np.multiply(w_diff, sin, out=f.imag)
-        return (f,)
-
-    out = _site_products(factors, model.couplings, times, w_sum, (w_sum, w_up - w_down))[0]
+    bound, overlap = _overlap_coefficients(model)
+    out = _site_products(model.couplings, times, bound, (overlap,))[0]
     return complex(out[0]) if scalar else out
 
 
 def _product(values: np.ndarray) -> float:
     """prod(values), one site per value, with no intermediate underflow or overflow."""
-    return float(
-        _site_products(
-            lambda cos, sin, v: (v,), np.zeros(values.size), np.zeros(1), np.abs(values), (values,)
-        )[0][0]
-    )
+    products = _site_products(np.zeros(values.size), np.zeros(1), np.abs(values), ((values, 0, 0),))
+    return float(products[0][0])
 
 
 def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
@@ -418,8 +417,9 @@ def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:
     matches the dense partial trace entrywise, up to the site norms that the
     dense state keeps.
     """
-    w_up, w_down = _site_weights(model)
-    r = overlap_r(model, float(t)) / _product(w_up + w_down)
+    w_sum, overlap = _overlap_coefficients(model)
+    r, norm = _site_products(model.couplings, np.array([t], float), w_sum, (overlap, (w_sum, 0, 0)))
+    r = complex(r[0]) / float(norm[0])
     a, b = complex(model.a), complex(model.b)
     coherence = a * np.conj(b) * r
     matrix = np.array(

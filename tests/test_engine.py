@@ -592,8 +592,8 @@ class TestScaleIndependence:
         kernel = engine._site_products
         for k in (1, 17, 60):
 
-            def scaled(factors, couplings, times, bound, columns):
-                return kernel(factors, couplings, times, np.ldexp(bound, k), columns)
+            def scaled(couplings, times, bound, coefficients):
+                return kernel(couplings, times, np.ldexp(bound, k), coefficients)
 
             before = fallback_points[0]
             with monkeypatch.context() as patch:
@@ -655,18 +655,15 @@ class TestProduct:
 
 
 def _recording(monkeypatch):
-    """Counts the site-points that every ``_site_products`` call hands to ``factors``."""
+    """Counts the site-points of every block that ``_fold`` multiplies, per product."""
     count = [0]
-    kernel = engine._site_products
+    fold = engine._fold
 
-    def recording_kernel(factors, *args):
-        def recording_factors(cos, sin, *columns):
-            count[0] += cos.size
-            return factors(cos, sin, *columns)
+    def recording_fold(mantissa, exponent, block):
+        count[0] += block.size
+        fold(mantissa, exponent, block)
 
-        return kernel(recording_factors, *args)
-
-    monkeypatch.setattr(engine, "_site_products", recording_kernel)
+    monkeypatch.setattr(engine, "_fold", recording_fold)
     return count
 
 
@@ -676,15 +673,10 @@ class TestDrop:
     @staticmethod
     def _products(values_re, values_im=None):
         """The kernel's product of one value per site at one time, and the site-points it multiplied."""
-        count = [0]
-        columns = (values_re,) if values_im is None else (values_re, values_im)
-        bound = np.abs(values_re) if values_im is None else np.hypot(values_re, values_im)
-
-        def factors(cos, sin, *scaled):
-            count[0] += cos.size
-            return (scaled[0],) if len(scaled) == 1 else (scaled[0] + 1j * scaled[1],)
-
-        out = engine._site_products(factors, np.zeros(len(values_re)), np.zeros(1), bound, columns)
+        values = values_re if values_im is None else values_re + 1j * values_im
+        with pytest.MonkeyPatch.context() as patch:
+            count = _recording(patch)
+            out = engine._site_products(np.zeros(len(values)), np.zeros(1), np.abs(values), ((values, 0, 0),))
         return out[0][0], count[0]
 
     @pytest.mark.parametrize("halves", [1074, 1075, 1076, 1077, 1078])
@@ -736,7 +728,8 @@ class TestDrop:
         plain = _expectation_products(model, obs, times)
         count = _recording(monkeypatch)
         recorded = _expectation_products(model, obs, times)
-        assert count[0] == model.n_sites * times.size
+        # Three products, each folded over every site-point.
+        assert count[0] == 3 * model.n_sites * times.size
         for a, b in zip(recorded, plain):
             assert np.array_equal(a, b)
 
@@ -749,9 +742,7 @@ class TestDrop:
     @pytest.mark.parametrize("n_sites, points", [(10_000, 400), (3000, 400), (300, 5000)])
     def test_dropping_keeps_every_bit(self, monkeypatch, even, n_sites, points):
         # With _DROP at -inf every site is multiplied at every point.  The
-        # uneven grid at N = 10^4 narrows a window to one live point, which
-        # keeps a dead neighbour: numpy multiplies a 1-element complex array
-        # in place on a path that rounds differently.
+        # uneven grid at N = 10^4 narrows a window to one live point.
         model = sample_model(n_sites, 5)
         t_max = 100.0 / model.mean_coupling
         if even:
@@ -761,6 +752,114 @@ class TestDrop:
         dropped = overlap_r(model, times)
         monkeypatch.setattr(engine, "_DROP", -math.inf)
         assert np.array_equal(overlap_r(model, times), dropped)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dropping_to_one_run_keeps_every_bit(self, monkeypatch, seed):
+        # A grid centred near t = 0 whose few live points fit in one run of 32
+        # once the rest have died: the narrowed window spans a lone run, and
+        # its factors round as they do among the chunk's other runs.
+        model = sample_model(3000, seed)
+        u = model.alphas.real**2 + model.alphas.imag**2
+        t_zero = math.sqrt(2 * 745 / np.sum(4 * u * (1 - u) * model.couplings**2))
+        times = np.linspace(-200.0, 200.0, 2000) * t_zero
+        dropped = overlap_r(model, times)
+        assert 0 < np.count_nonzero(dropped) <= 32
+        monkeypatch.setattr(engine, "_DROP", -math.inf)
+        assert np.array_equal(overlap_r(model, times), dropped)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_a_scalar_time_equals_the_same_time_in_a_grid(seed):
+    # A lone time point is folded and its coarse stack built as it is among
+    # others: no 1-element in-place multiply, no one-row matrix product.
+    model = sample_model(10_000, seed)
+    small, obs = sample_model(48, seed), sample_observable(48, seed + 1)
+    for t in np.linspace(0.01, 0.3, 50).tolist():
+        assert overlap_r(model, t) == overlap_r(model, np.array([t, t]))[0]
+        assert expectation(small, obs, t) == expectation(small, obs, np.array([t, t, t]))[1]
+
+
+class TestTileConstruction:
+    """Each factor the matrix products build is a + b cos(g t) + c sin(g t) to a few ulp."""
+
+    @staticmethod
+    def _tiles(monkeypatch, couplings, times, bound, coefficients):
+        """Every factor the kernel builds, one (sites, times) array per product.
+
+        The factors here stay near 1, so no point is dropped and ``_fold``
+        sees each product's blocks chunk by chunk, site block by site block.
+        """
+        blocks = []
+        fold = engine._fold
+
+        def recording_fold(mantissa, exponent, block):
+            blocks.append(block.copy())
+            fold(mantissa, exponent, block)
+
+        monkeypatch.setattr(engine, "_fold", recording_fold)
+        engine._site_products(couplings, times, bound, coefficients)
+        cols = max(1, min(times.size, _TILE_TIMES))
+        per_chunk = -(-couplings.size // min(_TILE_SITES, _TILE_ELEMENTS // cols))
+        tiles = []
+        for k in range(len(coefficients)):
+            mine = blocks[k :: len(coefficients)]
+            chunks = [mine[i : i + per_chunk] for i in range(0, len(mine), per_chunk)]
+            tiles.append(np.concatenate([np.concatenate(c, axis=0) for c in chunks], axis=1))
+        return tiles
+
+    @staticmethod
+    def _phase(couplings, times):
+        """(cos, sin) of the phase each factor uses, alpha + beta, summed without rounding.
+
+        On an evenly spaced grid a point takes the coarse angle g t at its
+        run's first time plus the fine angle g (p h); elsewhere g t alone.
+        The rounding error e of alpha + beta = s + e (TwoSum) goes in to
+        first order: cos(s + e) = cos s - e sin s.
+        """
+        step = _even_step(times)
+        cols = max(1, min(times.size, _TILE_TIMES))
+        run = 1 if step is None else math.isqrt(cols)
+        k = np.arange(times.size)
+        offset = k % cols % run
+        alpha = np.outer(couplings, times[k - offset])
+        beta = np.outer(couplings, offset * (step or 0.0))
+        s = alpha + beta
+        b = s - alpha
+        e = (alpha - (s - b)) + (beta - b)
+        return np.cos(s) - e * np.sin(s), np.sin(s) + e * np.cos(s)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(0.0, 3.0, 2000),
+            np.linspace(-40.0, 40.0, 2000),
+            np.linspace(-3.0, 7.0, 400),
+            np.sort(np.random.default_rng(1).uniform(-5.0, 5.0, 300)),
+            np.array([0.7]),
+        ],
+        ids=["even", "even-wide", "even-400", "uneven", "scalar"],
+    )
+    def test_factors_within_4_ulp(self, monkeypatch, times):
+        rng = np.random.default_rng(0)
+        n = 70
+        couplings = rng.uniform(0.1, 2.0, n)
+        a, b, c = rng.standard_normal((3, n))
+        za, zc = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        coefficients = ((a, b, c), (za, b, zc), (0, a, 1j * b))
+        bound = sum(np.abs(x) for x in (a, b, c, za, zc))
+        cos, sin = self._phase(couplings, times)
+        # The kernel divides each site's coefficients by the least power of
+        # two at or above its bound: exact here, so it is done the same way.
+        fraction, powers = np.frexp(bound)
+        scale = np.ldexp(1.0, np.where(fraction == 0.5, 1, 0) - powers)[:, None]
+        tiles = self._tiles(monkeypatch, couplings, times, bound, coefficients)
+        assert [tile.dtype for tile in tiles] == [float, complex, complex]
+        for triple, tile in zip(coefficients, tiles):
+            a, b, c = (np.broadcast_to(x, (n,))[:, None] * scale for x in triple)
+            expected = a + b * cos + c * sin
+            ulp = np.spacing(np.abs(a) + np.abs(b) + np.abs(c))
+            assert np.all(np.abs(tile.real - expected.real) <= 4 * ulp)
+            assert np.all(np.abs(tile.imag - expected.imag) <= 4 * ulp)
 
 
 def test_only_the_kernel_calls_prod():

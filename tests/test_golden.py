@@ -13,6 +13,11 @@ not as raw values, because they are rounding noise by design.
 To re-pin after an intended numerical change (declare it in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
+
+The engine's matrix products go through BLAS, so the bytes depend on the
+BLAS kernels as well as on numpy's SIMD level; the pins hold on any of them.
+``--print DIR`` runs every config into DIR and prints the outputs as JSON,
+which the test run under another OpenBLAS core type reads.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,26 +105,49 @@ def test_every_shipped_config_is_pinned(golden):
     assert sorted(golden) == CONFIGS
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_shipped_config_matches_golden(name, golden, tmp_path):
-    files = run_outputs(CONFIG_DIR / name, tmp_path / "out")
-    pinned = golden[name]
-    assert sorted(files) == sorted(pinned)
+def compare_files(files: dict, pinned: dict) -> list[str]:
+    if sorted(files) != sorted(pinned):
+        return [f"files {sorted(files)}, pinned {sorted(pinned)}"]
     problems = []
     for fname, ref in pinned.items():
         compare = compare_json if fname.endswith(".json") else compare_csv
         problems += [f"{fname}: {p}" for p in compare(files[fname], ref)]
+    return problems
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_shipped_config_matches_golden(name, golden, tmp_path):
+    problems = compare_files(run_outputs(CONFIG_DIR / name, tmp_path / "out"), golden[name])
     assert not problems, "\n".join(problems[:20])
 
 
-def _write_golden(scratch: Path) -> None:
-    golden = {name: run_outputs(CONFIG_DIR / name, scratch / Path(name).stem) for name in CONFIGS}
-    GOLDEN.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n", encoding="ascii")
+def test_shipped_configs_match_golden_without_fused_multiply_add(golden, tmp_path):
+    # OpenBLAS's Sandybridge kernels multiply and add apart where newer cores
+    # fuse the two, so every product the engine builds rounds differently.
+    # A BLAS other than OpenBLAS ignores the variable and runs its own kernels.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__, "--print", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    outputs = json.loads(proc.stdout)
+    assert sorted(outputs) == CONFIGS
+    problems = [f"{name}: {p}" for name in CONFIGS for p in compare_files(outputs[name], golden[name])]
+    assert not problems, "\n".join(problems[:20])
+
+
+def all_outputs(scratch: Path) -> dict:
+    return {name: run_outputs(CONFIG_DIR / name, scratch / Path(name).stem) for name in CONFIGS}
 
 
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        _write_golden(Path(tmp))
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    if sys.argv[1:2] == ["--print"]:
+        print(json.dumps(all_outputs(Path(sys.argv[2]))))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden = all_outputs(Path(tmp))
+        GOLDEN.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n", encoding="ascii")
+        print(f"wrote {GOLDEN}", file=sys.stderr)
