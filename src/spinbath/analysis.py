@@ -220,6 +220,17 @@ def timescale_estimate(v_ev: float) -> float:
     return HBAR_EV_S / v_ev
 
 
+def _median(values: list[float]) -> float:
+    """``np.median`` of a few floats, without the ``numpy.ma`` import it makes.
+
+    Sorts, then takes the middle value or ``np.mean`` of the middle two, as
+    ``np.median`` does.
+    """
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else np.mean(ordered[mid - 1 : mid + 1]))
+
+
 def n_scaling_sweep(
     n_list: list[int],
     seed: int,
@@ -259,8 +270,8 @@ def n_scaling_sweep(
         rows.append(
             SweepRow(
                 n_sites=n_sites,
-                t_d=float(np.median(t_ds)),
-                sup_late=float(np.median(sups)),
+                t_d=_median(t_ds),
+                sup_late=_median(sups),
                 decohered=all(verdicts),
             )
         )

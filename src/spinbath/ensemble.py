@@ -9,10 +9,13 @@ site-count sweeps a controlled comparison.  The per-site draw order (u, then
 phase, then coupling) is likewise fixed; see the README for test vectors.
 
 NumPy freezes both ``SeedSequence`` and ``PCG64`` (NEP 19), so the draws are
-computed here for all children at once, with the same 32-bit hash and 128-bit
-LCG arithmetic that numpy runs one object at a time.  The results are
+computed here for a chunk of children at once, with the same 32-bit hash and
+128-bit LCG arithmetic that numpy runs one object at a time.  The results are
 bit-identical to ``default_rng(child).uniform(...)``; the tests check this
-against numpy itself.
+against numpy itself.  Each chunk of ``_SITE_CHUNK`` sites is drawn, turned into
+model rows and validated before the next, straight into the model's
+preallocated arrays, so the memory beyond the model itself stays bounded
+whatever the site count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ import operator
 
 import numpy as np
 
-from .model import RelevantObservable, SpinBathModel, make_model, make_observable
+from .model import (
+    _SITE_CHUNK,
+    RelevantObservable,
+    SpinBathModel,
+    _check_hermitian_stack,
+    _check_sites,
+    make_model,  # noqa: F401  (bench/child.py wraps these names; the samplers
+    make_observable,  # noqa: F401  validate chunk by chunk and no longer call them)
+)
 
 DEFAULT_AMPLITUDE = 1.0 / np.sqrt(2.0)
 
@@ -70,22 +81,30 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _contract_draws(n: int, seed: int, k: int) -> np.ndarray:
-    """Raw PCG64 outputs of ``SeedSequence(seed).spawn(n)``: ``k`` per child.
-
-    Row i equals ``PCG64(children[i]).random_raw(k)``.  The spawn key is the
-    only entropy word that differs between children, so the pool is hashed
-    once and only that last word is mixed in per child.
-    """
+def _check_streams(seed: int, first: int, n: int) -> int:
+    """Check a seed and the spawn keys first .. first + n - 1; return the seed as an int."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if n < 1:
         raise ValueError("need at least one site")
-    if n >= 1 << 32:
+    if first + n >= 1 << 32:
         raise ValueError(
-            f"{n} streams need a two-word spawn key; at most 2**32 - 1 are supported"
+            f"{first + n} streams need a two-word spawn key; at most 2**32 - 1 are supported"
         )
+    return seed
+
+
+def _contract_draws(n: int, seed: int, k: int, first: int = 0) -> np.ndarray:
+    """Raw PCG64 outputs of children first .. first + n - 1 of ``SeedSequence(seed)``.
+
+    Row i equals ``PCG64(child).random_raw(k)`` for the child with spawn key
+    ``first + i``.  The spawn key is the only entropy word that differs between
+    children, so the seed's pool is hashed once per call and only that last
+    word is mixed in per child; a chunk's rows are the same bits whatever the
+    chunk.
+    """
+    seed = _check_streams(seed, first, n)
     words = [seed & _MASK32]
     while seed >> 32:
         seed >>= 32
@@ -103,7 +122,7 @@ def _contract_draws(n: int, seed: int, k: int) -> np.ndarray:
             if src != dst:
                 word, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], word)
-    for word in words[_POOL_SIZE:] + [np.arange(n, dtype=np.uint64)]:
+    for word in words[_POOL_SIZE:] + [np.arange(first, first + n, dtype=np.uint64)]:
         for dst in range(_POOL_SIZE):
             hashed, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], hashed)
@@ -138,6 +157,44 @@ def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * ((raw >> 11) * 2.0**-53)
 
 
+def _chunks(n_streams: int, seed: int, k: int):
+    """Raw draws of streams 0 .. n_streams - 1 as (rows, raw) pairs, ``_SITE_CHUNK`` each.
+
+    ``rows`` is the chunk's slice of the streams.  The seed and the stream
+    count are checked at the call, before the caller allocates its outputs;
+    each chunk is drawn when the iteration reaches it.
+    """
+    _check_streams(seed, 0, n_streams)
+    bounds = ((lo, min(lo + _SITE_CHUNK, n_streams)) for lo in range(0, n_streams, _SITE_CHUNK))
+    return ((slice(lo, hi), _contract_draws(hi - lo, seed, k, lo)) for lo, hi in bounds)
+
+
+def _sampled_model(n_sites: int, seed: int, a, b, g_base: float | None = None) -> SpinBathModel:
+    """Model with drawn sites, chunk by chunk into preallocated arrays.
+
+    Per site: u, then the phase, then the coupling's draw; or, given
+    ``g_base``, no third draw and the coupling j g_base for site j.
+    """
+    chunks = _chunks(n_sites, seed, 3 if g_base is None else 2)
+    a, b = complex(a), complex(b)
+    _check_sites(np.array([a]), np.array([b]), np.ones(1), 0)
+    alphas, betas = np.empty(n_sites, dtype=complex), np.empty(n_sites, dtype=complex)
+    couplings = np.empty(n_sites)
+    for rows, raw in chunks:
+        alpha, beta, g = alphas[rows], betas[rows], couplings[rows]
+        u = _uniform(raw[:, 0], 0.0, 1.0)
+        np.sqrt(u, out=alpha)
+        np.multiply(np.sqrt(1.0 - u), np.exp(1j * _uniform(raw[:, 1], 0.0, 2.0 * np.pi)), out=beta)
+        if g_base is None:
+            np.subtract(1.0, _uniform(raw[:, 2], 0.0, 1.0), out=g)
+        else:
+            np.multiply(np.arange(rows.start + 1, rows.stop + 1), g_base, out=g)
+        _check_sites(alpha, beta, g, rows.start + 1)
+    for column in (alphas, betas, couplings):
+        column.setflags(write=False)
+    return SpinBathModel(a, b, alphas, betas, couplings)
+
+
 def sample_model(
     n_sites: int,
     seed: int,
@@ -152,15 +209,7 @@ def sample_model(
     i.e. uniform on the half-open interval (0, 1] so it is never zero.
     Deterministic for fixed (n_sites, seed).
     """
-    raw = _contract_draws(n_sites, seed, 3)
-    return make_model(a, b, _site_table(raw, 1.0 - _uniform(raw[:, 2], 0.0, 1.0)))
-
-
-def _site_table(raw: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """(alpha, beta, g) rows from each site's first two draws, u and then the phase."""
-    u = _uniform(raw[:, 0], 0.0, 1.0)
-    phi = _uniform(raw[:, 1], 0.0, 2.0 * np.pi)
-    return np.stack([np.sqrt(u), np.sqrt(1.0 - u) * np.exp(1j * phi), couplings], axis=1)
+    return _sampled_model(n_sites, seed, a, b)
 
 
 def commensurate_model(n_sites: int, g_base: float, seed: int) -> SpinBathModel:
@@ -174,9 +223,7 @@ def commensurate_model(n_sites: int, g_base: float, seed: int) -> SpinBathModel:
     """
     if not (np.isfinite(g_base) and g_base > 0.0):
         raise ValueError("base coupling must be positive and finite")
-    raw = _contract_draws(n_sites, seed, 2)
-    couplings = np.arange(1, n_sites + 1) * float(g_base)
-    return make_model(DEFAULT_AMPLITUDE, DEFAULT_AMPLITUDE, _site_table(raw, couplings))
+    return _sampled_model(n_sites, seed, DEFAULT_AMPLITUDE, DEFAULT_AMPLITUDE, float(g_base))
 
 
 def sample_observable(n_sites: int, seed: int) -> RelevantObservable:
@@ -190,11 +237,16 @@ def sample_observable(n_sites: int, seed: int) -> RelevantObservable:
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
-    raw = _contract_draws(n_sites + 1, seed, 4)
-    off = _uniform(raw[:, 2], 0.0, 1.0) * np.exp(1j * _uniform(raw[:, 3], 0.0, 2.0 * np.pi))
+    chunks = _chunks(n_sites + 1, seed, 4)
     parts = np.empty((n_sites + 1, 2, 2), dtype=complex)
-    parts[:, 0, 0] = _uniform(raw[:, 0], -1.0, 1.0)
-    parts[:, 1, 1] = _uniform(raw[:, 1], -1.0, 1.0)
-    parts[:, 0, 1] = off
-    parts[:, 1, 0] = np.conj(off)
-    return make_observable(parts[0], parts[1:])
+    for rows, raw in chunks:
+        block = parts[rows]
+        off = _uniform(raw[:, 2], 0.0, 1.0) * np.exp(1j * _uniform(raw[:, 3], 0.0, 2.0 * np.pi))
+        block[:, 0, 0] = _uniform(raw[:, 0], -1.0, 1.0)
+        block[:, 1, 1] = _uniform(raw[:, 1], -1.0, 1.0)
+        block[:, 0, 1] = off
+        block[:, 1, 0] = np.conj(off)
+        first = rows.start
+        _check_hermitian_stack(block, lambda k: f"site part {first + k}" if first + k else "system part")
+    parts.setflags(write=False)
+    return RelevantObservable(system_part=parts[0], site_parts=parts[1:])

@@ -12,6 +12,7 @@ from spinbath.analysis import (
     NEVER,
     DecoherenceVerdict,
     TimescaleReport,
+    _median,
     decoherence_time,
     fluctuation_stats,
     n_scaling_sweep,
@@ -292,3 +293,27 @@ class TestScalingSweep:
     def test_explicit_window_and_span(self):
         rows = n_scaling_sweep([20], seed=0, window=40.0, t_max=200.0, points=1000, n_seeds=2)
         assert rows[0].n_sites == 20
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3],
+            [NEVER],
+            [2.5, 0.1],
+            [0.1 + 0.2, 0.3, 1e300],
+            [NEVER, 0.25],
+            [3.0, NEVER, 1.0],
+            [NEVER, NEVER, 2.0, 0.5],
+            [0.7, 0.2, 0.9, 0.2, 0.4],
+            [5.0, 1.0, 4.0, 2.0, 3.0, 0.1],
+        ],
+    )
+    def test_median_is_numpy_median(self, values):
+        # Bit for bit, the mean of the middle two included.
+        assert _median(values) == float(np.median(values))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(st.just(NEVER), st.floats(0.0, 1e300)), min_size=1, max_size=12))
+    def test_median_agrees_on_sweep_values(self, values):
+        # Times and suprema: non-negative, finite or NEVER.
+        assert _median(values) == float(np.median(values))

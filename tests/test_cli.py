@@ -693,23 +693,41 @@ class TestExitCodes:
         assert __version__ in capsys.readouterr().out
 
 
+# One small run of every subcommand but fluctuation.
+SMALL_RUNS = [
+    ["simulate-r", "--n", "5", "--points", "20"],
+    ["simulate-obs", "--n", "5", "--points", "20", "--obs", "random:3"],
+    ["sweep-n", "--n-list", "3,30", "--seeds", "2", "--points", "50"],
+    ["oracle-check", "--n", "4", "--trials", "2"],
+    ["recurrence", "--n", "5"],
+    ["timescale"],
+]
+
+
 def test_only_fluctuation_imports_numpy_random(tmp_path):
     # numpy loads numpy.random on first use, and the import alone adds about
     # 6 MiB to a run's peak RSS; every other subcommand must do without it.
-    runs = [
-        ["simulate-r", "--n", "5", "--points", "20"],
-        ["simulate-obs", "--n", "5", "--points", "20", "--obs", "random:3"],
-        ["sweep-n", "--n-list", "3,30", "--seeds", "2", "--points", "50"],
-        ["oracle-check", "--n", "4", "--trials", "2"],
-        ["recurrence", "--n", "5"],
-        ["timescale"],
-    ]
+    code = (
+        "import sys\n"
+        "from spinbath.cli import main\n"
+        f"for argv in {SMALL_RUNS!r}:\n"
+        f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on first use (about 0.9 MiB of peak RSS and
+    # 16 ms); sweep-n takes its medians without it, and nothing else needs it.
+    runs = [*SMALL_RUNS, ["fluctuation", "--n", "5", "--samples", "100"]]
+    assert {argv[0] for argv in runs} == set(COMMANDS)
     code = (
         "import sys\n"
         "from spinbath.cli import main\n"
         f"for argv in {runs!r}:\n"
         f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 

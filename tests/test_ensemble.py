@@ -1,6 +1,7 @@
 """Determinism, distribution support and the common-seed family structure."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbath.ensemble
 from spinbath.ensemble import (
     _contract_draws,
     commensurate_model,
     sample_model,
     sample_observable,
 )
+from spinbath.model import _SITE_CHUNK, make_model
 from spinbath.oracle import build_initial, oracle_expectation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,6 +51,13 @@ def reference_observable_parts(n_sites, seed):
         off = gen.uniform(0.0, 1.0) * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi))
         parts.append(np.array([[d0, off], [np.conj(off), d1]]))
     return np.stack(parts)
+
+
+def readme_vectors():
+    """(seed, site, u, phi, g) rows of the README's test-vector table."""
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", text, re.M)
+    return [(int(seed), int(site), float(u), float(phi), float(g)) for seed, site, u, phi, g in rows]
 
 
 def assert_matches_numpy(n_sites, seed):
@@ -86,11 +96,9 @@ class TestBitExactAgainstNumpy:
         assert np.array_equal(_contract_draws(5, seed, 6), expected)
 
     def test_readme_test_vectors(self):
-        text = README.read_text(encoding="utf-8")
-        rows = re.findall(r"^\| (\d+) \| (\d+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", text, re.M)
+        rows = readme_vectors()
         assert len(rows) == 7
         for seed, site, u, phi, g in rows:
-            seed, site, u, phi, g = int(seed), int(site), float(u), float(phi), float(g)
             alpha, beta, coupling = sample_model(site, seed).site(site)
             assert alpha == np.sqrt(u)
             assert beta == np.sqrt(1.0 - u) * np.exp(1j * phi)
@@ -123,6 +131,88 @@ class TestSeedValidation:
         with pytest.raises(ValueError, match="two-word spawn key"):
             sample_observable(2**32 - 1, 0)
         assert _contract_draws(1, 0, 3).shape == (1, 3)
+
+    @pytest.mark.parametrize("first, n", [(2**32 - 1, 2), (2**32 - 1, 1), (2**32 - 2, 2), (2**31, 2**31)])
+    def test_spawn_key_guard_counts_the_offset(self, first, n):
+        # The last key, first + n - 1, must stay below 2**32 - 1, as it does
+        # for a chunk starting at 0; the check comes before any allocation.
+        with pytest.raises(ValueError, match=f"{first + n} streams need a two-word spawn key"):
+            _contract_draws(n, 0, 3, first)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5])
+    def test_last_one_word_spawn_key_matches_numpy(self, seed):
+        key = 2**32 - 2
+        expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))).random_raw(3)
+        assert np.array_equal(_contract_draws(1, seed, 3, key), expected[None])
+
+
+class TestChunks:
+    """Sites are drawn, tabulated and validated _SITE_CHUNK at a time."""
+
+    @pytest.mark.parametrize("n_sites", [_SITE_CHUNK - 1, _SITE_CHUNK, _SITE_CHUNK + 1, 2 * _SITE_CHUNK + 1])
+    def test_chunk_boundaries_match_numpy(self, n_sites):
+        assert_matches_numpy(n_sites, 2**40 + 9)
+
+    def test_readme_test_vectors_in_a_model_of_several_chunks(self):
+        rows = readme_vectors()
+        models = {seed: sample_model(2 * _SITE_CHUNK + 1, seed) for seed, *_ in rows}
+        for seed, site, u, phi, g in rows:
+            alpha, beta, coupling = models[seed].site(site)
+            assert (alpha, beta, coupling) == (np.sqrt(u), np.sqrt(1.0 - u) * np.exp(1j * phi), g)
+
+    @pytest.mark.parametrize("first", [1, 5, _SITE_CHUNK - 1, _SITE_CHUNK, 3 * _SITE_CHUNK + 7])
+    def test_offset_rows_are_the_same_bits(self, first):
+        whole = _contract_draws(first + 9, 77, 4)
+        assert np.array_equal(_contract_draws(9, 77, 4, first), whole[first:])
+
+    @pytest.mark.parametrize("draw", [sample_model, sample_observable, lambda n, s: commensurate_model(n, 1.0, s)])
+    @pytest.mark.parametrize("n_sites", [0, -1])
+    def test_no_sites_is_rejected(self, draw, n_sites):
+        with pytest.raises(ValueError, match="need at least one site"):
+            draw(n_sites, 0)
+
+    @pytest.mark.parametrize("site", [_SITE_CHUNK + 6, 2 * _SITE_CHUNK + 1])
+    def test_bad_row_in_a_later_chunk_names_its_site(self, site):
+        good = (1.0, 0.0, 1.0)
+        sites = [good] * (2 * _SITE_CHUNK + 1)
+        sites[site - 1] = (1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+            f"site {site} amplitudes not normalized: |alpha|^2 + |beta|^2 = 2.0"
+        )):
+            make_model(1.0, 0.0, sites)
+        sites[site - 1] = (1.0, 0.0, 1.0j)
+        with pytest.raises(ValueError, match=re.escape(f"site {site} coupling must be real, got 1j")):
+            make_model(1.0, 0.0, np.array(sites))
+
+    def test_sampler_names_the_global_site_of_a_bad_draw(self, monkeypatch):
+        # Make the phase of the third site in the second chunk NaN.
+        uniform, calls = spinbath.ensemble._uniform, []
+
+        def bad_phase(raw, low, high):
+            values = uniform(raw, low, high)
+            if high == 2.0 * np.pi:
+                calls.append(None)
+                if len(calls) == 2:
+                    values[2] = np.nan
+            return values
+
+        monkeypatch.setattr(spinbath.ensemble, "_uniform", bad_phase)
+        with pytest.raises(ValueError, match=f"^site {_SITE_CHUNK + 3} amplitudes must be finite$"):
+            sample_model(2 * _SITE_CHUNK, 3)
+
+    def test_peak_memory_is_bounded_by_the_model(self):
+        # At N = 10^5 the model's own arrays take 3.8 MiB.  Drawing every
+        # site at once peaked at 25.9 MiB traced (6.8x); 2^12-site chunks
+        # measured 5.1 MiB (1.34x) on x86-64 with numpy 2.4.  Bound: 1.5x.
+        sample_model(10, 1)
+        tracemalloc.start()
+        try:
+            model = sample_model(10**5, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = model.alphas.nbytes + model.betas.nbytes + model.couplings.nbytes
+        assert peak <= 1.5 * size
 
 
 class TestSampleModel:
