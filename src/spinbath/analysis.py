@@ -50,7 +50,7 @@ class DecoherenceVerdict:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly between 0 and 1")
-        if self.window <= 0.0:
+        if not self.window > 0.0:
             raise ValueError("window must be positive")
         if self.decohered and self.sup_late > self.threshold:
             raise ValueError("a decohered verdict requires sup_late <= threshold")
@@ -108,7 +108,7 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    if window <= 0.0:
+    if not window > 0.0:
         raise ValueError("window must be positive")
     if traj.span < 2.0 * window:
         raise ValueError("trajectory must span at least twice the hold window")

@@ -4,13 +4,15 @@ Each subcommand offers one flag per config field that can change its output
 (``config.COMMANDS``), plus --config and --out; a flag or config key for a
 field it does not read exits 1, and so does a config value of the wrong
 type.  Precedence for every field: command-line flag, then config-file
-field, then the ExperimentConfig default.  Outputs land in --out, else
+field, then the ExperimentConfig default.  Each subcommand writes one file
+named after it, ``-`` as ``_`` (sweep-n writes sweep_n.csv), in --out, else
 $SPINBATH_OUT_DIR, else the working directory.  Data files carry no
 timestamps and use a fixed float rendering (17 significant digits, lowercase
 exponent), so replaying a config produces byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 resource cap exceeded,
-3 I/O failure, 4 oracle check above tolerance.
+3 I/O failure, 4 a report with ``"passed": false`` (oracle-check above its
+tolerance).
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
     """
     data = [np.asarray(col) for col in data]
     row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in data) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(f"# spinbath {__version__}\n# config {digest}\n{','.join(columns)}\n".encode())
         buffer = np.empty((min(len(data[0]), _CSV_BLOCK_ROWS), len(data), 4), "<u8")
@@ -197,7 +198,6 @@ def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
 def _write_json(path: Path, digest: str, payload: dict) -> None:
     doc = {"version": __version__, "config_digest": digest}
     doc.update(payload)
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="ascii",
@@ -222,36 +222,24 @@ def _time_grid(cfg: ExperimentConfig, model: SpinBathModel) -> np.ndarray:
     return np.linspace(0.0, t_max, cfg.points)
 
 
-def _cmd_simulate_r(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_simulate_r(cfg: ExperimentConfig) -> tuple:
     """bath-branch overlap trajectory to CSV"""
     model = _model(cfg)
     times = _time_grid(cfg, model)
     r = overlap_r(model, times)
-    _write_csv(
-        out / "simulate_r.csv",
-        cfg.digest,
-        ("t", "re_r", "im_r", "abs_r"),
-        (times, r.real, r.imag, np.abs(r)),
-    )
-    return EXIT_OK
+    return ("t", "re_r", "im_r", "abs_r"), (times, r.real, r.imag, np.abs(r))
 
 
-def _cmd_simulate_obs(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_simulate_obs(cfg: ExperimentConfig) -> tuple:
     """observable expectation trajectory to CSV"""
     model = _model(cfg)
     obs = parse_observable_spec(cfg.obs, model.n_sites)
     times = _time_grid(cfg, model)
     values = expectation(model, obs, times)
-    _write_csv(
-        out / "simulate_obs.csv",
-        cfg.digest,
-        ("t", "value"),
-        (times, values),
-    )
-    return EXIT_OK
+    return ("t", "value"), (times, values)
 
 
-def _cmd_sweep_n(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_sweep_n(cfg: ExperimentConfig) -> tuple:
     """decoherence verdicts across site counts"""
     rows = n_scaling_sweep(
         cfg.n_list,
@@ -262,9 +250,7 @@ def _cmd_sweep_n(cfg: ExperimentConfig, out: Path) -> int:
         points=cfg.points,
         t_max=cfg.t_max,
     )
-    _write_csv(
-        out / "sweep_n.csv",
-        cfg.digest,
+    return (
         ("n", "t_d", "sup_late", "decohered"),
         (
             [row.n_sites for row in rows],
@@ -273,10 +259,9 @@ def _cmd_sweep_n(cfg: ExperimentConfig, out: Path) -> int:
             [row.decohered for row in rows],
         ),
     )
-    return EXIT_OK
 
 
-def _cmd_oracle_check(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_oracle_check(cfg: ExperimentConfig) -> dict:
     """analytic vs dense-state equivalence report"""
     worst = np.zeros(3)  # expectation, overlap, reduced state
     for trial in range(cfg.trials):
@@ -300,82 +285,62 @@ def _cmd_oracle_check(cfg: ExperimentConfig, out: Path) -> int:
     passed = bool(np.all(worst <= cfg.tol))
     # JSON has no NaN or infinity; a non-finite maximum is written as null.
     worst = [float(w) if np.isfinite(w) else None for w in worst]
-    _write_json(
-        out / "oracle_check.json",
-        cfg.digest,
-        {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "tolerance": cfg.tol,
-            "max_diff_expectation": worst[0],
-            "max_diff_overlap": worst[1],
-            "max_diff_reduced_state": worst[2],
-            "passed": passed,
-        },
-    )
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return {
+        "n": cfg.n,
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+        "tolerance": cfg.tol,
+        "max_diff_expectation": worst[0],
+        "max_diff_overlap": worst[1],
+        "max_diff_reduced_state": worst[2],
+        "passed": passed,
+    }
 
 
-def _cmd_recurrence(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_recurrence(cfg: ExperimentConfig) -> dict:
     """revival at the common period of commensurate couplings"""
     model = commensurate_model(cfg.n, cfg.g_base, cfg.seed)
     t_rec = 2.0 * np.pi / cfg.g_base
     abs_r = recurrence_check(model, t_rec)
-    _write_json(
-        out / "recurrence.json",
-        cfg.digest,
-        {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "g_base": cfg.g_base,
-            "t_rec": t_rec,
-            "abs_r": abs_r,
-            "deviation": abs(abs_r - 1.0),
-        },
-    )
-    return EXIT_OK
+    return {
+        "n": cfg.n,
+        "seed": cfg.seed,
+        "g_base": cfg.g_base,
+        "t_rec": t_rec,
+        "abs_r": abs_r,
+        "deviation": abs(abs_r - 1.0),
+    }
 
 
-def _cmd_timescale(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_timescale(cfg: ExperimentConfig) -> dict:
     """hbar / V decoherence-time estimates"""
     report = TimescaleReport(cfg.v1_ev, cfg.v2_ev)
-    _write_json(
-        out / "timescale.json",
-        cfg.digest,
-        {
-            "v1_ev": report.v1_ev,
-            "v2_ev": report.v2_ev,
-            "t_ds_s": report.t_ds_s,
-            "t_du_s": report.t_du_s,
-            "hierarchy_ok": report.hierarchy_ok,
-        },
-    )
-    return EXIT_OK
+    return {
+        "v1_ev": report.v1_ev,
+        "v2_ev": report.v2_ev,
+        "t_ds_s": report.t_ds_s,
+        "t_du_s": report.t_du_s,
+        "hierarchy_ok": report.hierarchy_ok,
+    }
 
 
-def _cmd_fluctuation(cfg: ExperimentConfig, out: Path) -> int:
+def _cmd_fluctuation(cfg: ExperimentConfig) -> dict:
     """late-time |r|^2 average vs prediction"""
     model = _model(cfg)
     gbar = model.mean_coupling
     t0 = cfg.t0 if cfg.t0 is not None else 50.0 / gbar
     t1 = cfg.t1 if cfg.t1 is not None else 550.0 / gbar
     mean_r2, predicted_r2 = fluctuation_stats(model, (t0, t1), cfg.samples, seed=cfg.seed)
-    _write_json(
-        out / "fluctuation.json",
-        cfg.digest,
-        {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "t0": t0,
-            "t1": t1,
-            "samples": cfg.samples,
-            "mean_r2": mean_r2,
-            "predicted_r2": predicted_r2,
-            "ratio": mean_r2 / predicted_r2,
-        },
-    )
-    return EXIT_OK
+    return {
+        "n": cfg.n,
+        "seed": cfg.seed,
+        "t0": t0,
+        "t1": t1,
+        "samples": cfg.samples,
+        "mean_r2": mean_r2,
+        "predicted_r2": predicted_r2,
+        "ratio": mean_r2 / predicted_r2,
+    }
 
 
 _HANDLERS = {
@@ -390,10 +355,19 @@ _HANDLERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one configured experiment; returns the process exit code."""
-    out = _out_dir(cfg)
+    """Execute one configured experiment; returns the process exit code.
+
+    A handler returns a report dict (JSON) or a (columns, data) pair (CSV).
+    """
     try:
-        return _HANDLERS[cfg.command](cfg, out)
+        result = _HANDLERS[cfg.command](cfg)
+        path = _out_dir(cfg) / cfg.command.replace("-", "_")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(result, dict):
+            _write_json(path.with_suffix(".json"), cfg.digest, result)
+            return EXIT_OK if result.get("passed", True) else EXIT_CHECK_FAILED
+        _write_csv(path.with_suffix(".csv"), cfg.digest, *result)
+        return EXIT_OK
     except SiteCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP

@@ -39,11 +39,11 @@ DEFAULT_SITE_CAP = 24
 # with 4 parts, 4.4 ms with 2 or 3 and 5.5 ms with 5.
 _BLOCK_PARTS = 4
 # Largest m n k of one matrix product there: (1024, 16) @ (16, 16) complex
-# for a 4-part block.  OpenBLAS threads products of this size too.  On a
-# shared 2-core x86-64 machine one took 45 us at a CPU/wall ratio of 2.0,
-# against 72 us under OPENBLAS_NUM_THREADS=1, and 1023 rows the same;
-# oracle_expectation at N = 16 took 3.2, 2.5, 2.6 and 2.6 ms a call with
-# this bound at 2^16, 2^18, 2^20 and unbounded.
+# for a 4-part block.  Products this size still run on both OpenBLAS threads;
+# what the row slices buy is memory, for a little time.  On a shared 2-core
+# x86-64 machine, 8 alternating runs each of `bench/run.py --workload
+# oracle-dense --seconds 3` with and without them read peak RSS 46.09 against
+# 47.65 MiB (lower in 8 of 8) and run_s 0.259 against 0.244 s (medians).
 _PRODUCT_SIZE = 2**18
 
 

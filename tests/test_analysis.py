@@ -40,6 +40,11 @@ class TestVerdictInvariants:
         with pytest.raises(ValueError, match="threshold"):
             DecoherenceVerdict(t_d=NEVER, threshold=1.5, window=5.0, sup_late=0.5, decohered=False)
 
+    @pytest.mark.parametrize("window", [0.0, math.nan])
+    def test_window_must_be_positive(self, window):
+        with pytest.raises(ValueError, match="window"):
+            DecoherenceVerdict(t_d=NEVER, threshold=0.1, window=window, sup_late=0.5, decohered=False)
+
     def test_valid_verdicts_construct(self):
         DecoherenceVerdict(t_d=2.0, threshold=0.1, window=5.0, sup_late=0.05, decohered=True)
         DecoherenceVerdict(t_d=NEVER, threshold=0.1, window=5.0, sup_late=0.9, decohered=False)
@@ -93,8 +98,9 @@ class TestDecoherenceTime:
         traj = r_trajectory(sample_model(5, 0), 100.0, 200)
         with pytest.raises(ValueError, match="threshold"):
             decoherence_time(traj, 0.0, 10.0)
-        with pytest.raises(ValueError, match="window"):
-            decoherence_time(traj, 0.5, -1.0)
+        for window in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="window"):
+                decoherence_time(traj, 0.5, window)
 
     @pytest.mark.parametrize("first_below", [805, 300])
     def test_verdict_is_invariant_under_rescaling(self, first_below):

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: files, formats, exit codes, replay."""
 
 import argparse
+import ast
 import json
 import math
 import shlex
@@ -565,6 +566,10 @@ class TestReadTable:
     def test_out_moves_neither_data_nor_digest(self, tmp_path, command):
         first = run_config(tmp_path / "a", command, **BASE_RUNS[command])
         assert run_config(tmp_path / "b", command, **BASE_RUNS[command]) == first
+        # One file, named after the command with _ for -.
+        [name] = first
+        stem, suffix = name.rsplit(".", 1)
+        assert stem == command.replace("-", "_") and suffix in ("csv", "json")
 
     def test_site_cap_moves_neither_data_nor_digest(self, tmp_path):
         base = BASE_RUNS["oracle-check"]
@@ -622,6 +627,14 @@ class TestExitCodes:
         field = args[-2].lstrip("-").replace("-", "_")
         assert f"{field} must be positive and finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["simulate-r", "--n", "4", "--points", "20"], ["timescale"]])
+    def test_out_naming_a_regular_file_is_io_error(self, tmp_path, capsys, args):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"x")
+        assert run_cli(args, taken) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_bytes() == b"x"
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["simulate-r", "--config", str(tmp_path / "nope.json")])
@@ -730,6 +743,30 @@ def test_no_subcommand_imports_numpy_ma(tmp_path):
         "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_only_run_writes_outputs():
+    # Handlers return their results; cli.run alone names and writes the file
+    # and picks the exit code.
+    writers = {"_write_csv", "_write_json"}
+    callers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                if name in writers:
+                    callers.append((path.name, getattr(func, "name", None), name))
+    assert sorted(callers) == [("cli.py", "run", "_write_csv"), ("cli.py", "run", "_write_json")]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(handlers) == len(COMMANDS)
+    for func in handlers:
+        assert [arg.arg for arg in func.args.args] == ["cfg"], func.name
+        names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        assert not any(name.startswith("EXIT_") for name in names), func.name
 
 
 class TestConfigObject:
