@@ -23,6 +23,7 @@ import numpy as np
 
 from .ensemble import DEFAULT_AMPLITUDE, sample_observable
 from .model import PAULI_BY_NAME, RelevantObservable, eid_observable, single_site_observable
+from .oracle import DEFAULT_SITE_CAP
 
 _MODEL_FIELDS = ("n", "seed", "a_re", "a_im", "b_re", "b_im")
 
@@ -90,7 +91,7 @@ class ExperimentConfig:
     samples: int = 400
     t0: float | None = None
     t1: float | None = None
-    site_cap: int = 24
+    site_cap: int = DEFAULT_SITE_CAP
     out: str | None = None
 
     def __post_init__(self):

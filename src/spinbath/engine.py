@@ -207,18 +207,6 @@ def _even_step(times: np.ndarray) -> float | None:
         return float(step) if np.all(np.abs(times - grid) <= slack) else None
 
 
-def _scratch(dtype=float):
-    """``take(rows, cols)``: a C-contiguous view of one buffer, reallocated only to grow."""
-    store = [np.empty(0, dtype)]
-
-    def take(rows, cols):
-        if store[0].size < rows * cols:
-            store[0] = np.empty(rows * cols, dtype)
-        return store[0][: rows * cols].reshape(rows, cols)
-
-    return take
-
-
 def _site_products(
     couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, coefficients
 ) -> list[np.ndarray]:
@@ -238,7 +226,15 @@ def _site_products(
     rows: BLAS multiplies a one-row matrix on a path that rounds apart.
     Points at or below _DROP in every product after a block are certainly 0:
     later tiles span only the live window, each element computed as before.
+    Buffers are allocated once per call for a chunk's first, widest window
+    (the direct path needs ``parts`` coarse columns and no fine stage), and
+    narrower windows take C-contiguous views of their heads.  Times whose
+    phase error, 4 ulp(max |t|) max |g|, is not below 1 radian raise ValueError.
     """
+    span = float(np.abs([times.min(initial=0.0), times.max(initial=0.0)]).max())  # NaN if any t is
+    blur = 4.0 * float(np.spacing(span)) * float(np.abs(couplings).max(initial=0.0))
+    if not blur < 1.0:  # a NaN or infinite time is refused too
+        raise ValueError(f"times up to {span:.3g} leave the phases g t unresolved by {blur:.3g} rad")
     fraction, powers = np.frexp(bound)
     powers -= fraction == 0.5
     scale = int(powers.sum())
@@ -256,11 +252,14 @@ def _site_products(
     rows = min(_TILE_SITES, _TILE_ELEMENTS // cols, couplings.size)
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
-    offsets = np.arange(run) * (step or 0.0)
-    rotation = np.zeros((rows, 3, parts, 3))
-    fine, fine_pair = np.ones((rows, 3, run)), np.zeros((rows, 2, 3, run, 2))
-    take_angles, take_coarse = _scratch(), _scratch()
-    takes = [_scratch(dtype) for dtype in dtypes]
+    widest = max(2, math.ceil(cols / run))  # runs in a first window; a lone run goes in twice
+    angle_store = np.empty(rows * 3 * widest)
+    coarse_store = np.empty(rows * widest * (parts if run == 1 else 3 * parts))
+    if run > 1:
+        offsets = np.arange(run) * step
+        rotation = np.zeros((rows, 3, parts, 3))
+        fine, fine_pair = np.ones((rows, 3, run)), np.zeros((rows, 2, 3, run, 2))
+        tile_stores = [np.empty(rows * widest * run, d) for d in dtypes]
     results = [np.empty(times.size, dtype) for dtype in dtypes]
     for chunk in range(0, max(times.size, 1), cols):
         t = times[chunk : chunk + cols]
@@ -273,13 +272,13 @@ def _site_products(
             first = lo - lo % run  # the first time of the run that holds lo
             origins = t[first:hi:run]
             runs = 2 if origins.size == 1 else origins.size  # a lone run goes in twice
-            angles = take_angles(n, 3 * runs).reshape(n, 3, runs)
+            angles = angle_store[: n * 3 * runs].reshape(n, 3, runs)
             angles[:, 0] = 1.0
             alpha = np.multiply(g, origins, out=angles[:, 1])
             np.sin(alpha, out=angles[:, 2])
             np.cos(alpha, out=alpha)
             if run == 1:  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
-                f = take_coarse(n, runs * parts).reshape(n, runs, parts)
+                f = coarse_store[: n * runs * parts].reshape(n, runs, parts)
                 np.matmul(angles.transpose(0, 2, 1), scaled[sites], out=f)
                 pieces = zip(starts, widths, dtypes)
                 tiles = [f[..., j : j + w].view(d)[..., 0] for j, w, d in pieces]
@@ -292,9 +291,9 @@ def _site_products(
                 np.sin(beta, out=fine[:n, 2])
                 np.cos(beta, out=beta)
                 fine_pair[:n, 0, :, :, 0] = fine_pair[:n, 1, :, :, 1] = fine[:n]
-                coarse = take_coarse(n, runs * 3 * parts).reshape(n, runs, 3 * parts)
+                coarse = coarse_store[: n * runs * 3 * parts].reshape(n, runs, 3 * parts)
                 np.matmul(angles.transpose(0, 2, 1), rotation[:n].reshape(n, 3, -1), out=coarse)
-                tiles = [take(n, runs * run) for take in takes]
+                tiles = [store[: n * runs * run].reshape(n, runs * run) for store in tile_stores]
                 for tile, j, w in zip(tiles, starts, widths):
                     right = (fine if w == 1 else fine_pair)[:n].reshape(n, 3 * w, -1)
                     out = tile.view(float).reshape(n, runs, w * run)

@@ -73,13 +73,6 @@ class SpinBathModel:
         """Average of the site couplings; sets the natural time scale."""
         return float(np.mean(self.couplings))
 
-    def site(self, j: int) -> tuple[complex, complex, float]:
-        """Return (alpha, beta, g) of site ``j`` (1-based)."""
-        if not 1 <= j <= self.n_sites:
-            raise ValueError(f"site index {j} out of range 1..{self.n_sites}")
-        k = j - 1
-        return complex(self.alphas[k]), complex(self.betas[k]), float(self.couplings[k])
-
 
 @dataclass(frozen=True)
 class RelevantObservable:

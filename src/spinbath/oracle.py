@@ -56,13 +56,12 @@ class DenseState:
     """Full state vector over the central qubit and all bath sites.
 
     The central qubit is the most significant bit; site j sits at bit
-    ``n_sites - j``.  ``t`` records the time the amplitudes correspond to.
-    The amplitudes are a read-only copy of the array passed in.
+    ``n_sites - j``.  The amplitudes are a read-only copy of the array passed
+    in.  A state carries no clock: ``evolve`` advances it by a time it is given.
     """
 
     amplitudes: np.ndarray
     n_sites: int
-    t: float
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.array(self.amplitudes, dtype=complex))
@@ -72,17 +71,15 @@ class DenseState:
         amps = self.amplitudes
         if amps.ndim != 1 or amps.size != 2 ** (self.n_sites + 1) or amps.size < 4:
             raise ValueError("amplitude count must be 2^(n_sites + 1) with n_sites >= 1")
-        if not np.isfinite(self.t):
-            raise ValueError(f"dense state time must be finite, got {self.t!r}")
         if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # a NaN or inf norm fails too
             raise ValueError("dense state must be finite and normalized")
         amps.setflags(write=False)
 
 
-def _adopt(amps: np.ndarray, n_sites: int, t: float) -> DenseState:
+def _adopt(amps: np.ndarray, n_sites: int) -> DenseState:
     """A DenseState over ``amps`` itself, not a copy: for complex arrays no caller holds."""
     state = object.__new__(DenseState)
-    state.__dict__.update(amplitudes=amps, n_sites=n_sites, t=t)
+    state.__dict__.update(amplitudes=amps, n_sites=n_sites)
     state._seal()
     return state
 
@@ -122,11 +119,11 @@ def build_initial(model: SpinBathModel, site_cap: int = DEFAULT_SITE_CAP) -> Den
     """Materialize the t = 0 product state over all 2^(N+1) basis vectors."""
     _check_cap(model.n_sites, site_cap)
     amps = np.array([model.a, model.b], dtype=complex)
-    return _adopt(_grow(amps, np.multiply, zip(model.alphas, model.betas)), model.n_sites, 0.0)
+    return _adopt(_grow(amps, np.multiply, zip(model.alphas, model.betas)), model.n_sites)
 
 
 def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
-    """Advance the state by time ``t`` (relative to the state's own clock).
+    """The state advanced by time ``t``, which must be finite.
 
     Each amplitude picks up e^(i z_s field t / 2) where z = +1 on the up
     system branch and -1 on the down branch, and field is the signed coupling
@@ -136,9 +133,8 @@ def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
     """
     if state.n_sites != model.n_sites:
         raise ValueError(f"state has {state.n_sites} sites, model has {model.n_sites}")
-    # Checked before the trig, which warns on an infinite phase.
-    if not (math.isfinite(t) and math.isfinite(float(state.t) + float(t))):
-        raise ValueError(f"dense state time must be finite, got {state.t!r} + {t!r}")
+    if not math.isfinite(t):  # checked before the trig, which warns on an infinite phase
+        raise ValueError(f"evolution time must be finite, got {t!r}")
     field = _site_field(model)
     q = field.size
     amps = np.empty(4 * q, dtype=complex)
@@ -148,7 +144,7 @@ def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
     np.conjugate(amps[q - 1 :: -1], out=amps[q : 2 * q])
     np.conjugate(amps[: 2 * q], out=amps[2 * q :])
     amps *= state.amplitudes
-    return _adopt(amps, state.n_sites, state.t + t)
+    return _adopt(amps, state.n_sites)
 
 
 def oracle_expectation(state: DenseState, obs: RelevantObservable) -> float:

@@ -4,6 +4,7 @@ import argparse
 import ast
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -39,7 +40,10 @@ from spinbath.ensemble import sample_model, sample_observable
 from spinbath.model import SpinBathModel
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# Subprocesses import the package from this checkout, whatever PYTHONPATH holds.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run_cli(args, out_dir):
@@ -285,7 +289,7 @@ class TestFloatWriter:
 
     def test_tables_are_built_on_first_write_not_at_import(self):
         code = "import spinbath.cli as c; assert c._csv_tables.cache_info().currsize == 0"
-        subprocess.run([sys.executable, "-c", code], check=True)
+        subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True)
 
 
 class TestJsonOutputs:
@@ -628,6 +632,19 @@ class TestExitCodes:
         assert f"{field} must be positive and finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate-r", "--n", "5", "--points", "4", "--t-max", "1e300"],
+            ["fluctuation", "--n", "5", "--t0", "1e300", "--t1", "1.5e300"],
+        ],
+    )
+    def test_time_beyond_phase_resolution_is_rejected(self, tmp_path, capsys, args):
+        # At |t| = 1e300 one ulp of t is about 1e284, so no phase g t is known.
+        assert run_cli(args, tmp_path / "out") == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: times up to")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args", [["simulate-r", "--n", "4", "--points", "20"], ["timescale"]])
     def test_out_naming_a_regular_file_is_io_error(self, tmp_path, capsys, args):
         taken = tmp_path / "taken"
@@ -727,7 +744,7 @@ def test_only_fluctuation_imports_numpy_random(tmp_path):
         f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True)
 
 
 def test_no_subcommand_imports_numpy_ma(tmp_path):
@@ -742,7 +759,7 @@ def test_no_subcommand_imports_numpy_ma(tmp_path):
         f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
         "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True)
 
 
 def test_only_run_writes_outputs():

@@ -258,7 +258,7 @@ def single_spin_reference(model, j, eps, t):
         f_j(t) = |alpha_j|^2 eps_uu + |beta_j|^2 eps_dd
                    + 2 Re(conj(alpha_j) beta_j eps_ud e^(-i g_j t)).
     """
-    alpha, beta, g = model.site(j)
+    alpha, beta, g = model.alphas[j - 1], model.betas[j - 1], model.couplings[j - 1]
     t = np.asarray(t, dtype=float)
     static = abs(alpha) ** 2 * eps[0, 0].real + abs(beta) ** 2 * eps[1, 1].real
     cross = np.conj(alpha) * beta * eps[0, 1]
@@ -287,7 +287,7 @@ class TestSingleSpin:
         model = sample_model(5, 6)
         eps = sample_observable(1, 7).site_parts[0]
         j = 3
-        period = 2.0 * math.pi / model.site(j)[2]
+        period = 2.0 * math.pi / model.couplings[j - 1]
         for t in (0.0, 0.4, 2.9):
             assert single_spin(model, j, eps, t) == pytest.approx(
                 single_spin(model, j, eps, t + period), abs=1e-12
@@ -941,6 +941,26 @@ def test_overlap_memory_stays_bounded():
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize(
+    "times, limit",
+    [(np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 2000)), 3 * 2**20), (0.3, 2**20)],
+    ids=["uneven", "scalar"],
+)
+def test_direct_path_buffers_are_sized_for_it(times, limit):
+    # Uneven grids and scalar times take the direct path: one coarse column
+    # per part and no fine stage.  Angle-addition sizing would trace about
+    # 3.3 MiB on the uneven grid and 1.2 MiB at the scalar time.
+    model = sample_model(10_000, 0)
+    assert _even_step(np.atleast_1d(times)) is None
+    tracemalloc.start()
+    try:
+        overlap_r(model, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 def test_expectation_memory_stays_bounded():
     # 48 sites x 2e5 times would be 146 MiB per complex (N, T) matrix; the
     # rotation buffers must stay tile-sized next to the O(T) results.
@@ -1101,11 +1121,13 @@ class TestEvenGridRotation:
 
     def test_grid_spanning_beyond_double_range(self):
         # t_last - t_0 overflows, so the grid counts as uneven and raises no
-        # overflow warning.
+        # overflow warning; at |t| = 1e308 no phase g t is resolved, so the
+        # kernel refuses the grid.
         model = sample_model(4, 2)
         times = np.array([-1e308, 0.0, 1e308])
         assert _even_step(times) is None
-        assert np.array_equal(overlap_r(model, times), _outer_product_reference(model, times))
+        with pytest.raises(ValueError, match="unresolved"):
+            overlap_r(model, times)
 
 
 def test_eid_expectation_at_time_zero_closed_form():

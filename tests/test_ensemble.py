@@ -99,7 +99,8 @@ class TestBitExactAgainstNumpy:
         rows = readme_vectors()
         assert len(rows) == 7
         for seed, site, u, phi, g in rows:
-            alpha, beta, coupling = sample_model(site, seed).site(site)
+            model, j = sample_model(site, seed), site - 1
+            alpha, beta, coupling = model.alphas[j], model.betas[j], model.couplings[j]
             assert alpha == np.sqrt(u)
             assert beta == np.sqrt(1.0 - u) * np.exp(1j * phi)
             assert coupling == g
@@ -157,7 +158,8 @@ class TestChunks:
         rows = readme_vectors()
         models = {seed: sample_model(2 * _SITE_CHUNK + 1, seed) for seed, *_ in rows}
         for seed, site, u, phi, g in rows:
-            alpha, beta, coupling = models[seed].site(site)
+            model, j = models[seed], site - 1
+            alpha, beta, coupling = model.alphas[j], model.betas[j], model.couplings[j]
             assert (alpha, beta, coupling) == (np.sqrt(u), np.sqrt(1.0 - u) * np.exp(1j * phi), g)
 
     @pytest.mark.parametrize("first", [1, 5, _SITE_CHUNK - 1, _SITE_CHUNK, 3 * _SITE_CHUNK + 7])

@@ -17,7 +17,7 @@ To re-pin after an intended numerical change (declare it in CHANGES.md):
 The engine's matrix products go through BLAS, so the bytes depend on the
 BLAS kernels as well as on numpy's SIMD level; the pins hold on any of them.
 ``--print DIR`` runs every config into DIR and prints the outputs as JSON,
-which the test run under another OpenBLAS core type reads.
+which the tests run under another OpenBLAS core type or numpy SIMD level read.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -121,11 +122,21 @@ def test_shipped_config_matches_golden(name, golden, tmp_path):
     assert not problems, "\n".join(problems[:20])
 
 
-def test_shipped_configs_match_golden_without_fused_multiply_add(golden, tmp_path):
-    # OpenBLAS's Sandybridge kernels multiply and add apart where newer cores
-    # fuse the two, so every product the engine builds rounds differently.
-    # A BLAS other than OpenBLAS ignores the variable and runs its own kernels.
-    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+# OpenBLAS's Sandybridge kernels multiply and add apart where newer cores fuse
+# the two, so every product the engine builds rounds differently; a BLAS other
+# than OpenBLAS ignores the variable and runs its own kernels.  numpy without
+# its AVX2 and AVX-512 loops (x86-64 only) rounds its complex products apart.
+WITHOUT_FMA = {
+    "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "numpy-pre-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(WITHOUT_FMA))
+def test_shipped_configs_match_golden_without_fused_multiply_add(setting, golden, tmp_path):
+    if setting == "numpy-pre-avx2" and platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("numpy's X86_V3 and AVX-512 features exist only on x86-64")
+    env = dict(os.environ, **WITHOUT_FMA[setting])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, __file__, "--print", str(tmp_path)],

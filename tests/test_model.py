@@ -33,7 +33,7 @@ class TestMakeModel:
     def test_equal_superposition(self):
         model = make_model(INV, INV, [(INV, INV, 1.0)])
         assert abs(abs(model.a) ** 2 + abs(model.b) ** 2 - 1.0) < 1e-12
-        assert model.site(1) == (complex(INV), complex(INV), 1.0)
+        assert (model.alphas[0], model.betas[0], model.couplings[0]) == (INV, INV, 1.0)
 
     def test_unnormalized_system_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -84,13 +84,10 @@ class TestMakeModel:
             with pytest.raises(ValueError, match="triple"):
                 make_model(1.0, 0.0, sites)
 
-    def test_site_index_is_one_based(self):
+    def test_sites_keep_their_order(self):
         model = make_model(1.0, 0.0, [(1.0, 0.0, 0.5), (0.0, 1.0, 1.5)])
-        assert model.site(2)[2] == 1.5
-        with pytest.raises(ValueError, match="out of range"):
-            model.site(0)
-        with pytest.raises(ValueError, match="out of range"):
-            model.site(3)
+        assert model.alphas.tolist() == [1.0, 0.0] and model.betas.tolist() == [0.0, 1.0]
+        assert model.couplings.tolist() == [0.5, 1.5]
 
     def test_mean_coupling(self):
         model = make_model(1.0, 0.0, [(1.0, 0.0, 0.5), (1.0, 0.0, 1.5)])

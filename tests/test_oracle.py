@@ -44,7 +44,6 @@ class TestBuildInitial:
     def test_basis_state(self):
         state = build_initial(make_model(1.0, 0.0, [(1.0, 0.0, 1.0)]))
         assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
-        assert state.t == 0.0
 
     def test_uniform_superposition(self):
         state = build_initial(make_model(INV, INV, [(INV, INV, 1.0)]))
@@ -76,21 +75,18 @@ class TestBuildInitial:
 class TestDenseStateInvariants:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="2\\^"):
-            DenseState(amplitudes=np.ones(6) / math.sqrt(6), n_sites=2, t=0.0)
+            DenseState(amplitudes=np.ones(6) / math.sqrt(6), n_sites=2)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            DenseState(amplitudes=np.ones(4), n_sites=1, t=0.0)
+            DenseState(amplitudes=np.ones(4), n_sites=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_amplitudes_and_times(self, bad):
+    def test_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            DenseState(amplitudes=np.full(4, bad, complex), n_sites=1, t=0.0)
-        amps = np.array([1.0, 0.0, 0.0, 0.0])
+            DenseState(amplitudes=np.full(4, bad, complex), n_sites=1)
         with pytest.raises(ValueError, match="finite"):
-            DenseState(amplitudes=amps, n_sites=1, t=bad)
-        with pytest.raises(ValueError, match="finite"):
-            spinbath.oracle._adopt(np.array([bad, 0.0, 0.0, 1.0], complex), 1, 0.0)
+            spinbath.oracle._adopt(np.array([bad, 0.0, 0.0, 1.0], complex), 1)
 
     def test_amplitudes_frozen(self):
         state = build_initial(sample_model(2, 1))
@@ -99,20 +95,20 @@ class TestDenseStateInvariants:
 
     def test_caller_array_stays_writable_and_detached(self):
         amps = np.full(8, 1.0 / math.sqrt(8), dtype=complex)
-        state = DenseState(amplitudes=amps, n_sites=2, t=0.0)
+        state = DenseState(amplitudes=amps, n_sites=2)
         assert amps.flags.writeable
         amps[0] = 0.0
         assert state.amplitudes[0] == 1.0 / math.sqrt(8)
 
     def test_module_constructor_adopts_without_copy_and_still_checks(self):
         amps = np.full(8, 1.0 / math.sqrt(8), dtype=complex)
-        state = spinbath.oracle._adopt(amps, 2, 0.5)
+        state = spinbath.oracle._adopt(amps, 2)
         assert state.amplitudes is amps and not amps.flags.writeable
-        assert (state.n_sites, state.t) == (2, 0.5)
+        assert state.n_sites == 2
         with pytest.raises(ValueError, match="normalized"):
-            spinbath.oracle._adopt(np.ones(4, dtype=complex), 1, 0.0)
+            spinbath.oracle._adopt(np.ones(4, dtype=complex), 1)
         with pytest.raises(ValueError, match="2\\^"):
-            spinbath.oracle._adopt(np.ones(6, dtype=complex) / math.sqrt(6), 2, 0.0)
+            spinbath.oracle._adopt(np.ones(6, dtype=complex) / math.sqrt(6), 2)
 
 
 def edge_model(sign: float, n_sites: int):
@@ -183,10 +179,9 @@ class TestEvolve:
         far = 1e6 / model.mean_coupling
         assert abs(np.linalg.norm(evolve(state, model, far).amplitudes) - 1.0) < 1e-12
 
-    def test_clock_accumulates(self):
+    def test_successive_evolutions_compose(self):
         model = sample_model(2, 3)
         state = evolve(evolve(build_initial(model), model, 1.5), model, 2.0)
-        assert state.t == 3.5
         direct = evolve(build_initial(model), model, 3.5)
         assert np.allclose(state.amplitudes, direct.amplitudes, atol=1e-12)
 
@@ -195,13 +190,11 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve(build_initial(model), model, math.nan)
 
-    @pytest.mark.parametrize("start, t", [(0.0, math.inf), (0.0, -math.inf), (1e308, 1e308)])
-    def test_non_finite_time_is_rejected_before_the_rotation(self, start, t):
-        # cos of an infinite phase would warn before the state's own check.
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_non_finite_time_is_rejected_before_the_rotation(self, t):
+        # cos of an infinite phase would warn: evolve refuses the time first.
         model = sample_model(3, 0)
         state = build_initial(model)
-        if start:
-            state = evolve(state, model, start)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -227,7 +220,7 @@ def _random_state(n_sites, seed):
     """A normalized dense state with no product structure."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2 ** (n_sites + 1)) + 1j * rng.normal(size=2 ** (n_sites + 1))
-    return DenseState(amplitudes=amps / np.linalg.norm(amps), n_sites=n_sites, t=0.0)
+    return DenseState(amplitudes=amps / np.linalg.norm(amps), n_sites=n_sites)
 
 
 def _full_field(model):
@@ -387,7 +380,7 @@ class TestDirectReferences:
             got = evolve(state, model, t)
             assert np.array_equal(got.amplitudes, ref)
             assert not np.any(np.signbit(got.amplitudes.view(float)) ^ np.signbit(ref.view(float)))
-            assert got.t == state.t + t and not got.amplitudes.flags.writeable
+            assert not got.amplitudes.flags.writeable
 
     def test_evolve_peak_is_one_state_plus_the_half_field(self):
         model = sample_model(16, 3)
