@@ -129,21 +129,11 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     hits = np.nonzero(qualified)[0]
     if hits.size:
         i = int(hits[0])
-        return DecoherenceVerdict(
-            t_d=float(times[i]),
-            threshold=threshold,
-            window=window,
-            sup_late=float(magnitudes[i : ends[i]].max()),
-            decohered=True,
-        )
-    tail = np.searchsorted(times, times[-1] - window - slack, side="left")
-    return DecoherenceVerdict(
-        t_d=NEVER,
-        threshold=threshold,
-        window=window,
-        sup_late=float(magnitudes[tail:].max()),
-        decohered=False,
-    )
+        t_d, late = float(times[i]), magnitudes[i : ends[i]]
+    else:
+        tail = np.searchsorted(times, times[-1] - window - slack, side="left")
+        t_d, late = NEVER, magnitudes[tail:]
+    return DecoherenceVerdict(t_d, threshold, window, float(late.max()), decohered=bool(hits.size))
 
 
 def r_trajectory(model: SpinBathModel, t_max: float, points: int) -> Trajectory:
@@ -214,10 +204,19 @@ def recurrence_check(model: SpinBathModel, t_rec: float) -> float:
 
 
 def timescale_estimate(v_ev: float) -> float:
-    """Decoherence-time estimate hbar / V for an interaction strength in eV."""
+    """Decoherence-time estimate hbar / V for an interaction strength in eV.
+
+    Raises ValueError when hbar / V is below the smallest normal double, where
+    the quotient loses relative precision.
+    """
     if not (np.isfinite(v_ev) and v_ev > 0.0):
         raise ValueError("interaction strength must be positive and finite")
-    return HBAR_EV_S / v_ev
+    t = HBAR_EV_S / v_ev
+    if t < np.finfo(float).tiny:
+        raise ValueError(
+            f"hbar / V = {t!r} s for V = {v_ev!r} eV is below the smallest normal double"
+        )
+    return t
 
 
 def _median(values: list[float]) -> float:
@@ -255,24 +254,19 @@ def n_scaling_sweep(
         raise ValueError("need at least one seed")
     rows = []
     for n_sites in n_list:
-        t_ds, sups, verdicts = [], [], []
+        verdicts = []
         for k in range(n_seeds):
             model = sample_model(n_sites, seed + k)
             gbar = model.mean_coupling
             w = window if window is not None else 20.0 / gbar
             span = t_max if t_max is not None else 100.0 / gbar
-            verdict = decoherence_time(
-                r_trajectory(model, span, points), threshold, w
-            )
-            t_ds.append(verdict.t_d)
-            sups.append(verdict.sup_late)
-            verdicts.append(verdict.decohered)
+            verdicts.append(decoherence_time(r_trajectory(model, span, points), threshold, w))
         rows.append(
             SweepRow(
                 n_sites=n_sites,
-                t_d=_median(t_ds),
-                sup_late=_median(sups),
-                decohered=all(verdicts),
+                t_d=_median([v.t_d for v in verdicts]),
+                sup_late=_median([v.sup_late for v in verdicts]),
+                decohered=all(v.decohered for v in verdicts),
             )
         )
     return rows

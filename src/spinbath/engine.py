@@ -108,6 +108,8 @@ class ReducedState:
 
 def _as_times(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {arr.shape}")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -416,8 +418,11 @@ def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:
     matches the dense partial trace entrywise, up to the site norms that the
     dense state keeps.
     """
+    times, scalar = _as_times(t)
+    if not scalar:
+        raise ValueError(f"the reduced state takes one time, got shape {times.shape}")
     w_sum, overlap = _overlap_coefficients(model)
-    r, norm = _site_products(model.couplings, np.array([t], float), w_sum, (overlap, (w_sum, 0, 0)))
+    r, norm = _site_products(model.couplings, times, w_sum, (overlap, (w_sum, 0, 0)))
     r = complex(r[0]) / float(norm[0])
     a, b = complex(model.a), complex(model.b)
     coherence = a * np.conj(b) * r

@@ -47,10 +47,10 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _hashmix(value, hash_const: int):
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
     """SeedSequence hashmix on 32-bit words; returns (word, next hash constant)."""
     value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
+    hash_const = (hash_const * mult) & _MASK32
     value = (value * hash_const) & _MASK32
     return value ^ (value >> 16), hash_const
 
@@ -131,10 +131,8 @@ def _contract_draws(n: int, seed: int, k: int, first: int = 0) -> np.ndarray:
     hash_const = _INIT_B
     state = []
     for i in range(2 * _POOL_SIZE):
-        word = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word = (word * hash_const) & _MASK32
-        state.append(word ^ (word >> 16))
+        word, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(word)
     val = [state[2 * j] | (state[2 * j + 1] << 32) for j in range(4)]
 
     # pcg64_set_seed: state (val0, val1), increment 2 (val2, val3) + 1, two LCG steps.

@@ -259,6 +259,13 @@ class TestTimescales:
         with pytest.raises(ValueError, match="positive"):
             timescale_estimate(-3.0)
 
+    def test_rejects_a_time_below_the_smallest_normal_double(self):
+        # hbar / 1e308 eV is 6.58e-324 s, which rounds to the subnormal 5e-324.
+        with pytest.raises(ValueError, match="below the smallest normal double"):
+            timescale_estimate(1e308)
+        with pytest.raises(ValueError, match="below the smallest normal double"):
+            TimescaleReport(1e308, 1.0)
+
     def test_report_hierarchy(self):
         report = TimescaleReport(1e23, 1.0)
         assert report.hierarchy_ok

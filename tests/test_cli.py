@@ -645,6 +645,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: times up to")
         assert not (tmp_path / "out").exists()
 
+    def test_timescale_below_the_smallest_normal_double_is_rejected(self, tmp_path, capsys):
+        assert run_cli(["timescale", "--v1", "1e308", "--v2", "1"], tmp_path / "out") == EXIT_INVALID
+        assert "below the smallest normal double" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args", [["simulate-r", "--n", "4", "--points", "20"], ["timescale"]])
     def test_out_naming_a_regular_file_is_io_error(self, tmp_path, capsys, args):
         taken = tmp_path / "taken"

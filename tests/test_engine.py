@@ -3,6 +3,7 @@
 import ast
 import cmath
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -180,6 +181,10 @@ class TestExpectation:
         point = expectation(model, obs, float(ts[3]))
         assert values[3] == pytest.approx(point, abs=1e-14)
 
+    def test_rejects_a_time_array_of_two_dimensions(self):
+        with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+            expectation(sample_model(3, 0), sample_observable(3, 1), np.zeros((2, 3)))
+
 
 class TestOverlap:
     def test_normalized_at_zero(self):
@@ -195,6 +200,10 @@ class TestOverlap:
     def test_two_site_zero_crossing(self):
         model = equal_superposition_model(2)
         assert abs(overlap_r(model, math.pi / 2)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_a_time_array_of_two_dimensions(self):
+        with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+            overlap_r(sample_model(3, 0), np.zeros((2, 3)))
 
     @given(seed=seed_strategy, t=times_strategy)
     @settings(max_examples=40, deadline=None)
@@ -328,6 +337,11 @@ class TestReducedState:
             assert abs(rho[0, 1]) == pytest.approx(
                 abs(model.a) * abs(model.b) * abs(overlap_r(model, t)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1)])
+    def test_rejects_an_array_of_times(self, shape):
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            reduced_system_state(sample_model(3, 0), np.zeros(shape))
 
     def test_populations_are_frozen(self):
         model = sample_model(3, 2, a=0.6, b=0.8j)
