@@ -10,7 +10,7 @@ back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,22 +70,16 @@ class TimescaleReport:
 
     v1_ev: float
     v2_ev: float
+    t_ds_s: float = field(init=False)
+    t_du_s: float = field(init=False)
+    hierarchy_ok: bool = field(init=False)
 
     def __post_init__(self):
-        for v_ev in (self.v1_ev, self.v2_ev):
-            timescale_estimate(v_ev)  # raises unless positive and finite
-
-    @property
-    def t_ds_s(self) -> float:
-        return timescale_estimate(self.v1_ev)
-
-    @property
-    def t_du_s(self) -> float:
-        return timescale_estimate(self.v2_ev)
-
-    @property
-    def hierarchy_ok(self) -> bool:
-        return (not self.v1_ev > self.v2_ev) or self.t_ds_s < self.t_du_s
+        # timescale_estimate raises unless the strength is positive and finite.
+        t_ds, t_du = timescale_estimate(self.v1_ev), timescale_estimate(self.v2_ev)
+        object.__setattr__(self, "t_ds_s", t_ds)
+        object.__setattr__(self, "t_du_s", t_du)
+        object.__setattr__(self, "hierarchy_ok", (not self.v1_ev > self.v2_ev) or t_ds < t_du)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ tolerance).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -250,15 +251,8 @@ def _cmd_sweep_n(cfg: ExperimentConfig) -> tuple:
         points=cfg.points,
         t_max=cfg.t_max,
     )
-    return (
-        ("n", "t_d", "sup_late", "decohered"),
-        (
-            [row.n_sites for row in rows],
-            [row.t_d for row in rows],
-            [row.sup_late for row in rows],
-            [row.decohered for row in rows],
-        ),
-    )
+    # The header names SweepRow's fields in order, n_sites as "n".
+    return ("n", "t_d", "sup_late", "decohered"), tuple(zip(*map(dataclasses.astuple, rows)))
 
 
 def _cmd_oracle_check(cfg: ExperimentConfig) -> dict:
@@ -314,14 +308,7 @@ def _cmd_recurrence(cfg: ExperimentConfig) -> dict:
 
 def _cmd_timescale(cfg: ExperimentConfig) -> dict:
     """hbar / V decoherence-time estimates"""
-    report = TimescaleReport(cfg.v1_ev, cfg.v2_ev)
-    return {
-        "v1_ev": report.v1_ev,
-        "v2_ev": report.v2_ev,
-        "t_ds_s": report.t_ds_s,
-        "t_du_s": report.t_du_s,
-        "hierarchy_ok": report.hierarchy_ok,
-    }
+    return dataclasses.asdict(TimescaleReport(cfg.v1_ev, cfg.v2_ev))
 
 
 def _cmd_fluctuation(cfg: ExperimentConfig) -> dict:

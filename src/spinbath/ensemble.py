@@ -20,6 +20,7 @@ whatever the site count.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 
 import numpy as np
@@ -167,32 +168,6 @@ def _chunks(n_streams: int, seed: int, k: int):
     return ((slice(lo, hi), _contract_draws(hi - lo, seed, k, lo)) for lo, hi in bounds)
 
 
-def _sampled_model(n_sites: int, seed: int, a, b, g_base: float | None = None) -> SpinBathModel:
-    """Model with drawn sites, chunk by chunk into preallocated arrays.
-
-    Per site: u, then the phase, then the coupling's draw; or, given
-    ``g_base``, no third draw and the coupling j g_base for site j.
-    """
-    chunks = _chunks(n_sites, seed, 3 if g_base is None else 2)
-    a, b = complex(a), complex(b)
-    _check_sites(np.array([a]), np.array([b]), np.ones(1), 0)
-    alphas, betas = np.empty(n_sites, dtype=complex), np.empty(n_sites, dtype=complex)
-    couplings = np.empty(n_sites)
-    for rows, raw in chunks:
-        alpha, beta, g = alphas[rows], betas[rows], couplings[rows]
-        u = _uniform(raw[:, 0], 0.0, 1.0)
-        np.sqrt(u, out=alpha)
-        np.multiply(np.sqrt(1.0 - u), np.exp(1j * _uniform(raw[:, 1], 0.0, 2.0 * np.pi)), out=beta)
-        if g_base is None:
-            np.subtract(1.0, _uniform(raw[:, 2], 0.0, 1.0), out=g)
-        else:
-            np.multiply(np.arange(rows.start + 1, rows.stop + 1), g_base, out=g)
-        _check_sites(alpha, beta, g, rows.start + 1)
-    for column in (alphas, betas, couplings):
-        column.setflags(write=False)
-    return SpinBathModel(a, b, alphas, betas, couplings)
-
-
 def sample_model(
     n_sites: int,
     seed: int,
@@ -205,23 +180,43 @@ def sample_model(
     |beta|^2 = 1 - u with alpha real non-negative; a relative phase
     ~ Uniform[0, 2 pi) goes onto beta; the coupling is 1 - Uniform(0, 1),
     i.e. uniform on the half-open interval (0, 1] so it is never zero.
-    Deterministic for fixed (n_sites, seed).
+    Deterministic for fixed (n_sites, seed).  Sites are drawn chunk by chunk
+    into preallocated arrays.
     """
-    return _sampled_model(n_sites, seed, a, b)
+    chunks = _chunks(n_sites, seed, 3)
+    a, b = complex(a), complex(b)
+    _check_sites(np.array([a]), np.array([b]), np.ones(1), 0)
+    alphas, betas = np.empty(n_sites, dtype=complex), np.empty(n_sites, dtype=complex)
+    couplings = np.empty(n_sites)
+    for rows, raw in chunks:
+        alpha, beta, g = alphas[rows], betas[rows], couplings[rows]
+        u = _uniform(raw[:, 0], 0.0, 1.0)
+        np.sqrt(u, out=alpha)
+        np.multiply(np.sqrt(1.0 - u), np.exp(1j * _uniform(raw[:, 1], 0.0, 2.0 * np.pi)), out=beta)
+        np.subtract(1.0, _uniform(raw[:, 2], 0.0, 1.0), out=g)
+        _check_sites(alpha, beta, g, rows.start + 1)
+    for column in (alphas, betas, couplings):
+        column.setflags(write=False)
+    return SpinBathModel(a, b, alphas, betas, couplings)
 
 
 def commensurate_model(n_sites: int, g_base: float, seed: int) -> SpinBathModel:
     """Random site coefficients but exactly commensurate couplings g_j = j g_base.
 
     Every bath frequency then divides 2 pi / g_base, so the overlap revives
-    fully at that period.  The coefficient draws reuse the sample_model
-    streams (u and phase come first in the draw order, so they coincide with
-    the random-coupling model at the same seed).  Both probe amplitudes are
-    1/sqrt(2); the overlap does not depend on them.
+    fully at that period.  The coefficients are those of ``sample_model`` at
+    the same seed (u and phase come first in the draw order), whose couplings
+    are replaced.  Both probe amplitudes are 1/sqrt(2); the overlap does not
+    depend on them.
     """
     if not (np.isfinite(g_base) and g_base > 0.0):
         raise ValueError("base coupling must be positive and finite")
-    return _sampled_model(n_sites, seed, DEFAULT_AMPLITUDE, DEFAULT_AMPLITUDE, float(g_base))
+    model = sample_model(n_sites, seed)
+    with np.errstate(over="ignore"):  # an overflowing rung is named below
+        couplings = np.arange(1, n_sites + 1) * float(g_base)
+    _check_sites(model.alphas, model.betas, couplings, 1)
+    couplings.setflags(write=False)
+    return dataclasses.replace(model, couplings=couplings)
 
 
 def sample_observable(n_sites: int, seed: int) -> RelevantObservable:

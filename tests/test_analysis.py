@@ -1,5 +1,6 @@
 """Verdict logic, long-time statistics, recurrences and timescale arithmetic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -275,6 +276,18 @@ class TestTimescales:
 
     def test_report_equal_strengths(self):
         assert TimescaleReport(2.0, 2.0).hierarchy_ok
+
+    def test_report_fields_are_its_schema(self):
+        # The derived times and the verdict are fields, so asdict carries them.
+        assert dataclasses.asdict(TimescaleReport(3.5, 0.25)) == {
+            "v1_ev": 3.5,
+            "v2_ev": 0.25,
+            "t_ds_s": HBAR_EV_S / 3.5,
+            "t_du_s": HBAR_EV_S / 0.25,
+            "hierarchy_ok": True,
+        }
+        with pytest.raises(TypeError):
+            TimescaleReport(1.0, 2.0, t_ds_s=1.0)
 
     def test_report_rejects_nonpositive_strengths(self):
         with pytest.raises(ValueError, match="positive"):

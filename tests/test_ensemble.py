@@ -289,6 +289,17 @@ class TestCommensurateModel:
         with pytest.raises(ValueError, match="positive"):
             commensurate_model(3, -1.0, 0)
 
+    def test_overflowing_rung_is_named(self):
+        # 2 * 1e308 overflows: the ladder names the first infinite coupling,
+        # without a RuntimeWarning on the way.
+        with pytest.raises(ValueError, match=re.escape("site 2 coupling must be positive, got inf")):
+            commensurate_model(5, 1e308, 0)
+
+    def test_ladder_is_frozen(self):
+        model = commensurate_model(4, 0.5, 2)
+        for column in (model.alphas, model.betas, model.couplings):
+            assert not column.flags.writeable
+
 
 class TestSampleObservable:
     def test_deterministic(self):
