@@ -98,7 +98,10 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     Scans every grid point t* whose window [t*, t* + window] still fits on the
     grid and returns the first one where all grid samples in that window have
     magnitude <= threshold.  A trajectory that keeps re-exceeding the
-    threshold (every quasi-periodic signal does) never qualifies.
+    threshold (every quasi-periodic signal does) never qualifies.  The window
+    must reach the next sample from every grid point, or a single sample
+    below the threshold would certify it: a window shorter than the largest
+    grid step raises ValueError.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
@@ -114,7 +117,13 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     counts = np.concatenate([[0], np.cumsum(below)])
     # Rounding slack for window edges, in the grid's own units: far below any
     # grid step, so rescaling times and window together keeps the verdict.
-    slack = 1e-6 * float(np.min(np.diff(times)))
+    steps = np.diff(times)
+    slack = 1e-6 * float(steps.min())
+    if window + slack < steps.max():
+        raise ValueError(
+            f"hold window {window!r} is shorter than the grid step {float(steps.max())!r}; "
+            f"it would hold a single sample"
+        )
     # Last start index whose window still fits on the grid.
     fit = np.searchsorted(times, times[-1] - window + slack, side="right")
     ends = np.searchsorted(times, times[:fit] + window + slack, side="right")

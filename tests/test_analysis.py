@@ -95,6 +95,26 @@ class TestDecoherenceTime:
         with pytest.raises(ValueError, match="span"):
             decoherence_time(traj, 0.1, 6.0)
 
+    def test_window_must_reach_the_next_sample(self):
+        # On 5 points the step is 25 / gbar: a 20 / gbar window holds one
+        # sample, and that sample at t = 25 / gbar is below 0.1 while |r|
+        # climbs to 0.15 between the samples.
+        model = sample_model(20, 0)
+        gbar = model.mean_coupling
+        with pytest.raises(ValueError, match="shorter than the grid step"):
+            decoherence_time(r_trajectory(model, 100.0 / gbar, 5), 0.1, 20.0 / gbar)
+        fine = r_trajectory(model, 100.0 / gbar, 200001)
+        inside = (fine.times >= 25.0 / gbar) & (fine.times <= 45.0 / gbar)
+        assert np.abs(fine.values[inside]).max() > 0.15
+        # A window of exactly one step reaches the next sample, whatever the unit.
+        for unit in (1e-9, 1.0, 1e9):
+            traj = Trajectory(times=np.arange(10.0) * unit, values=np.full(10, 0.05))
+            assert decoherence_time(traj, 0.1, unit).decohered
+        # On an uneven grid the largest step counts.
+        traj = Trajectory(times=np.array([0.0, 1.0, 2.0, 5.0, 6.0, 7.0, 8.0]), values=np.full(7, 0.05))
+        with pytest.raises(ValueError, match="grid step 3.0"):
+            decoherence_time(traj, 0.1, 2.0)
+
     def test_threshold_validation(self):
         traj = r_trajectory(sample_model(5, 0), 100.0, 200)
         with pytest.raises(ValueError, match="threshold"):

@@ -650,6 +650,17 @@ class TestExitCodes:
         assert "below the smallest normal double" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("points", ["2", "5"])
+    def test_hold_window_shorter_than_the_grid_step_is_rejected(self, tmp_path, capsys, points):
+        # 5 points over 100 / gbar are 25 / gbar apart, more than the 20 / gbar
+        # window, which would then certify a single sample below the threshold.
+        args = ["sweep-n", "--n-list", "20,100", "--seeds", "3", "--points", points]
+        assert run_cli(args, tmp_path / "out") == EXIT_INVALID
+        assert "shorter than the grid step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        args[-1] = "6"  # a step of 20 / gbar: the window reaches the next sample
+        assert run_cli(args, tmp_path / "out") == EXIT_OK
+
     @pytest.mark.parametrize("args", [["simulate-r", "--n", "4", "--points", "20"], ["timescale"]])
     def test_out_naming_a_regular_file_is_io_error(self, tmp_path, capsys, args):
         taken = tmp_path / "taken"

@@ -1,6 +1,7 @@
 """Closed-form evaluator checks: hand-computable cases, symmetries, stability."""
 
 import ast
+import dataclasses
 import cmath
 import math
 import re
@@ -213,6 +214,31 @@ class TestOverlap:
             np.conj(overlap_r(model, t)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("grid", ["even", "uneven"])
+    @pytest.mark.parametrize("n_sites", [7, 100, 3000])
+    def test_reversal_and_branch_swap_conjugate_exactly(self, n_sites, grid):
+        # r(-t) and the model with alpha and beta swapped both give conj(r(t))
+        # bit for bit: each factor's sine term changes sign, and round to
+        # nearest is symmetric in sign, so every imaginary part does too.
+        times = np.linspace(0.0, 4.0, 2000)
+        if grid == "uneven":
+            times = np.sort(np.random.default_rng(n_sites).uniform(0.0, 4.0, 500))
+        model = sample_model(n_sites, 5)
+        swapped = dataclasses.replace(model, alphas=model.betas, betas=model.alphas)
+        expected = np.conj(overlap_r(model, times))
+        assert np.array_equal(overlap_r(model, -times), expected)
+        assert np.array_equal(overlap_r(swapped, times), expected)
+
+    def test_reversal_and_branch_swap_conjugate_exactly_at_large_n(self):
+        # At N = 10^4 375 of the rows underflow to exactly 0, and stay 0.
+        model = sample_model(10**4, 5)
+        swapped = dataclasses.replace(model, alphas=model.betas, betas=model.alphas)
+        times = np.linspace(0.0, 1.0, 2000)
+        expected = np.conj(overlap_r(model, times))
+        assert np.count_nonzero(expected == 0) == 375
+        assert np.array_equal(overlap_r(model, -times), expected)
+        assert np.array_equal(overlap_r(swapped, times), expected)
+
     @given(seed=seed_strategy, t=times_strategy)
     @settings(max_examples=40, deadline=None)
     def test_squared_modulus_product_form(self, seed, t):
@@ -369,9 +395,9 @@ class TestReducedState:
 
 
 class TestStableProducts:
-    def test_log_path_matches_direct_product(self):
-        # Over 2000 time points a tile holds 1024 times and 16 sites, so these
-        # 70 sites are multiplied in 5 renormalized blocks; the same factors
+    def test_blocked_product_matches_naive_product(self):
+        # Over 2000 time points a tile holds 1024 times and 32 sites, so these
+        # 70 sites are multiplied in 3 renormalized blocks; the same factors
         # multiplied naively are still well inside double range, so both must
         # agree.
         model = sample_model(70, 40)
