@@ -1,8 +1,8 @@
 """Closed-form evaluator checks: hand-computable cases, symmetries, stability."""
 
 import ast
-import dataclasses
 import cmath
+import dataclasses
 import math
 import re
 import sys
@@ -230,7 +230,7 @@ class TestOverlap:
         assert np.array_equal(overlap_r(swapped, times), expected)
 
     def test_reversal_and_branch_swap_conjugate_exactly_at_large_n(self):
-        # At N = 10^4 375 of the rows underflow to exactly 0, and stay 0.
+        # At N = 10^4, 375 of the 2000 rows underflow to exactly 0 and must stay 0.
         model = sample_model(10**4, 5)
         swapped = dataclasses.replace(model, alphas=model.betas, betas=model.alphas)
         times = np.linspace(0.0, 1.0, 2000)

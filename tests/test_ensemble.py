@@ -295,8 +295,9 @@ class TestCommensurateModel:
         with pytest.raises(ValueError, match=re.escape("site 2 coupling must be positive, got inf")):
             commensurate_model(5, 1e308, 0)
 
-    def test_ladder_is_frozen(self):
-        model = commensurate_model(4, 0.5, 2)
+    @pytest.mark.parametrize("draw", [sample_model, lambda n, s: commensurate_model(n, 0.5, s)])
+    def test_columns_are_frozen(self, draw):
+        model = draw(4, 2)
         for column in (model.alphas, model.betas, model.couplings):
             assert not column.flags.writeable
 
