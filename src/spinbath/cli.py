@@ -355,8 +355,8 @@ def run(cfg: ExperimentConfig) -> int:
             return EXIT_OK if result.get("passed", True) else EXIT_CHECK_FAILED
         _write_csv(path.with_suffix(".csv"), cfg.digest, *result)
         return EXIT_OK
-    except SiteCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SiteCapError, MemoryError) as exc:  # numpy refuses an allocation it cannot make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

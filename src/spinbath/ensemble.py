@@ -12,10 +12,10 @@ NumPy freezes both ``SeedSequence`` and ``PCG64`` (NEP 19), so the draws are
 computed here for a chunk of children at once, with the same 32-bit hash and
 128-bit LCG arithmetic that numpy runs one object at a time.  The results are
 bit-identical to ``default_rng(child).uniform(...)``; the tests check this
-against numpy itself.  Each chunk of ``_SITE_CHUNK`` sites is drawn, turned into
-model rows and validated before the next, straight into the model's
-preallocated arrays, so the memory beyond the model itself stays bounded
-whatever the site count.
+against numpy itself.  Each chunk of ``_SITE_CHUNK`` sites is drawn and turned
+into model rows before the next, straight into the model's preallocated arrays,
+which the model checks chunk by chunk; so the memory beyond the model itself
+stays bounded whatever the site count.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .model import (
     _SITE_CHUNK,
     RelevantObservable,
     SpinBathModel,
-    _check_hermitian_stack,
-    _check_sites,
     make_model,  # noqa: F401  (bench/child.py wraps these names; the samplers
-    make_observable,  # noqa: F401  validate chunk by chunk and no longer call them)
+    make_observable,  # noqa: F401  construct the model types and no longer call them)
 )
 
 DEFAULT_AMPLITUDE = 1.0 / np.sqrt(2.0)
@@ -184,8 +182,6 @@ def sample_model(
     into preallocated arrays.
     """
     chunks = _chunks(n_sites, seed, 3)
-    a, b = complex(a), complex(b)
-    _check_sites(np.array([a]), np.array([b]), np.ones(1), 0)
     alphas, betas = np.empty(n_sites, dtype=complex), np.empty(n_sites, dtype=complex)
     couplings = np.empty(n_sites)
     for rows, raw in chunks:
@@ -194,9 +190,6 @@ def sample_model(
         np.sqrt(u, out=alpha)
         np.multiply(np.sqrt(1.0 - u), np.exp(1j * _uniform(raw[:, 1], 0.0, 2.0 * np.pi)), out=beta)
         np.subtract(1.0, _uniform(raw[:, 2], 0.0, 1.0), out=g)
-        _check_sites(alpha, beta, g, rows.start + 1)
-    for column in (alphas, betas, couplings):
-        column.setflags(write=False)
     return SpinBathModel(a, b, alphas, betas, couplings)
 
 
@@ -212,10 +205,8 @@ def commensurate_model(n_sites: int, g_base: float, seed: int) -> SpinBathModel:
     if not (np.isfinite(g_base) and g_base > 0.0):
         raise ValueError("base coupling must be positive and finite")
     model = sample_model(n_sites, seed)
-    with np.errstate(over="ignore"):  # an overflowing rung is named below
+    with np.errstate(over="ignore"):  # the model's check names an overflowing rung
         couplings = np.arange(1, n_sites + 1) * float(g_base)
-    _check_sites(model.alphas, model.betas, couplings, 1)
-    couplings.setflags(write=False)
     return dataclasses.replace(model, couplings=couplings)
 
 
@@ -239,7 +230,4 @@ def sample_observable(n_sites: int, seed: int) -> RelevantObservable:
         block[:, 1, 1] = _uniform(raw[:, 1], -1.0, 1.0)
         block[:, 0, 1] = off
         block[:, 1, 0] = np.conj(off)
-        first = rows.start
-        _check_hermitian_stack(block, lambda k: f"site part {first + k}" if first + k else "system part")
-    parts.setflags(write=False)
     return RelevantObservable(system_part=parts[0], site_parts=parts[1:])

@@ -44,9 +44,11 @@ PAULI_BY_NAME = {"id": IDENTITY_2, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
 _SITE_CHUNK = 2**12
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make ``arr`` read-only in place, and the array it views if it is a view."""
+    for owner in (arr, arr.base):
+        if isinstance(owner, np.ndarray):
+            owner.setflags(write=False)
     return arr
 
 
@@ -55,7 +57,10 @@ class SpinBathModel:
     """Central qubit plus N environment spins, all amplitudes normalized.
 
     ``alphas``, ``betas`` and ``couplings`` are parallel arrays over the
-    environment sites (site ``j`` lives at array index ``j - 1``).
+    environment sites (site ``j`` lives at array index ``j - 1``).  Every
+    amplitude pair must be normalized to ``NORM_TOL`` and every coupling real
+    and positive; the probe pair is checked first, then the sites in chunks
+    of ``_SITE_CHUNK``, and the message names the first bad one.
     """
 
     a: complex
@@ -63,6 +68,23 @@ class SpinBathModel:
     alphas: np.ndarray
     betas: np.ndarray
     couplings: np.ndarray
+
+    def __post_init__(self):
+        a, b = complex(self.a), complex(self.b)
+        alphas, betas = (np.asarray(x, dtype=complex) for x in (self.alphas, self.betas))
+        g = np.asarray(self.couplings, dtype=complex if np.iscomplexobj(self.couplings) else float)
+        shapes = (alphas.shape, betas.shape, g.shape)
+        if alphas.ndim != 1 or len(set(shapes)) > 1:
+            raise ValueError(f"alphas, betas and couplings must be 1-D of one length, got shapes {shapes}")
+        if alphas.size == 0:
+            raise ValueError("model needs at least one environment site")
+        _check_sites(np.array([a]), np.array([b]), np.ones(1), 0)
+        for first in range(0, alphas.size, _SITE_CHUNK):
+            rows = slice(first, first + _SITE_CHUNK)
+            _check_sites(alphas[rows], betas[rows], g[rows], first + 1)
+        if g.dtype == complex:  # real, as checked
+            g = np.ascontiguousarray(g.real)
+        self.__dict__.update(a=a, b=b, alphas=_freeze(alphas), betas=_freeze(betas), couplings=_freeze(g))
 
     @property
     def n_sites(self) -> int:
@@ -79,11 +101,24 @@ class RelevantObservable:
     """Product-form observable: one 2x2 system part, one 2x2 part per site.
 
     Stored matrices are Hermitian:  entry [0, 1] is the up/down coherence
-    coefficient and equals the conjugate of entry [1, 0].
+    coefficient and equals the conjugate of entry [1, 0]; the system part is
+    checked first, then the site parts in chunks of ``_SITE_CHUNK``.
     """
 
     system_part: np.ndarray
     site_parts: np.ndarray
+
+    def __post_init__(self):
+        system = _check_hermitian(self.system_part, "system part")
+        parts = np.asarray(self.site_parts, dtype=complex)
+        if parts.shape[1:] != (2, 2):
+            raise ValueError(f"site parts must be an (n, 2, 2) stack, got shape {parts.shape}")
+        if len(parts) == 0:
+            raise ValueError("observable needs at least one site part")
+        for first in range(0, len(parts), _SITE_CHUNK):
+            chunk = parts[first : first + _SITE_CHUNK]
+            _check_hermitian_stack(chunk, lambda k: f"site part {first + k + 1}")
+        self.__dict__.update(system_part=_freeze(system), site_parts=_freeze(parts))
 
     @property
     def n_sites(self) -> int:
@@ -113,10 +148,7 @@ class Trajectory:
             raise ValueError("trajectory needs at least two samples")
         if not np.all(np.diff(times) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(times=_freeze(times), values=_freeze(values))
 
     @property
     def span(self) -> float:
@@ -124,13 +156,10 @@ class Trajectory:
 
 
 def make_model(a, b, sites) -> SpinBathModel:
-    """Build a validated model from system amplitudes and (alpha, beta, g) triples.
+    """Parse system amplitudes and (alpha, beta, g) triples into a model.
 
-    ``sites`` is a sequence of triples or an (N, 3) array of them.  Strict:
-    inputs whose squared norms deviate from 1 by more than ``NORM_TOL`` are
-    rejected, couplings must be real and positive, and at least one site is
-    required.  The system pair is checked first, then the sites in chunks of
-    ``_SITE_CHUNK``; the message names the first bad one.
+    ``sites`` is a sequence of triples or an (N, 3) array of them; each column
+    becomes a fresh array, which ``SpinBathModel`` checks and freezes.
     """
     if not isinstance(sites, np.ndarray):
         sites = list(sites)
@@ -142,18 +171,7 @@ def make_model(a, b, sites) -> SpinBathModel:
         table = None
     if table is None or table.ndim != 2 or table.shape[1] != 3:
         raise ValueError("every site must be an (alpha, beta, g) triple")
-    a, b = complex(a), complex(b)
-    _check_sites(np.array([a]), np.array([b]), np.ones(1), 0)
-    for first in range(0, len(table), _SITE_CHUNK):
-        rows = table[first : first + _SITE_CHUNK]
-        _check_sites(rows[:, 0], rows[:, 1], rows[:, 2], first + 1)
-    return SpinBathModel(
-        a=a,
-        b=b,
-        alphas=_frozen_array(table[:, 0], complex),
-        betas=_frozen_array(table[:, 1], complex),
-        couplings=_frozen_array(table[:, 2].real, float),
-    )
+    return SpinBathModel(a, b, table[:, 0].copy(), table[:, 1].copy(), table[:, 2].copy())
 
 
 def _check_sites(x: np.ndarray, y: np.ndarray, g: np.ndarray, first: int) -> None:
@@ -196,7 +214,7 @@ def _raise_first_fault(faults, label) -> None:
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.array(mat, dtype=complex)
+    mat = np.asarray(mat, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix")
     _check_hermitian_stack(mat[None], lambda k: what)
@@ -222,8 +240,7 @@ def _check_hermitian_stack(mats: np.ndarray, label) -> None:
 
 
 def make_observable(system_part, site_parts) -> RelevantObservable:
-    """Validate Hermiticity entrywise and freeze a product-form observable."""
-    system = _check_hermitian(system_part, "system part")
+    """Parse a product-form observable into fresh arrays, which ``RelevantObservable`` checks."""
     if not isinstance(site_parts, np.ndarray):
         site_parts = list(site_parts)
     try:
@@ -237,13 +254,7 @@ def make_observable(system_part, site_parts) -> RelevantObservable:
             _check_hermitian(p, f"site part {k + 1}") for k, p in enumerate(site_parts)
         ]
         parts = np.stack(parts) if parts else np.empty((0, 2, 2), dtype=complex)
-    if len(parts) == 0:
-        raise ValueError("observable needs at least one site part")
-    _check_hermitian_stack(parts, lambda k: f"site part {k + 1}")
-    return RelevantObservable(
-        system_part=_frozen_array(system, complex),
-        site_parts=_frozen_array(parts, complex),
-    )
+    return RelevantObservable(np.array(system_part, dtype=complex), parts)
 
 
 def eid_observable(s00: float, s01: complex, s11: float, n_sites: int) -> RelevantObservable:
@@ -257,7 +268,7 @@ def eid_observable(s00: float, s01: complex, s11: float, n_sites: int) -> Releva
     s01 = complex(s01)
     system = np.array([[s00, s01], [np.conj(s01), s11]], dtype=complex)
     sites = np.broadcast_to(IDENTITY_2, (n_sites, 2, 2))
-    return make_observable(system, np.array(sites))
+    return RelevantObservable(system, np.array(sites))
 
 
 def single_site_observable(j: int, eps, n_sites: int) -> RelevantObservable:
@@ -269,4 +280,4 @@ def single_site_observable(j: int, eps, n_sites: int) -> RelevantObservable:
     eps = _check_hermitian(eps, "site part")
     sites = np.array(np.broadcast_to(IDENTITY_2, (n_sites, 2, 2)))
     sites[j - 1] = eps
-    return make_observable(IDENTITY_2, sites)
+    return RelevantObservable(IDENTITY_2, sites)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelevantObservable, SpinBathModel
+from .model import RelevantObservable, SpinBathModel, _freeze
 
 # At the default cap a state is 2^25 complex doubles, 512 MiB.  evolve holds
 # the input, the rotated vector and the 2^23 field values it builds for the
@@ -56,32 +56,20 @@ class DenseState:
     """Full state vector over the central qubit and all bath sites.
 
     The central qubit is the most significant bit; site j sits at bit
-    ``n_sites - j``.  The amplitudes are a read-only copy of the array passed
-    in.  A state carries no clock: ``evolve`` advances it by a time it is given.
+    ``n_sites - j``.  A complex array of amplitudes is checked and frozen in
+    place, not copied; any other array is converted to complex first.
     """
 
     amplitudes: np.ndarray
     n_sites: int
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", np.array(self.amplitudes, dtype=complex))
-        self._seal()
-
-    def _seal(self):
-        amps = self.amplitudes
+        amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size != 2 ** (self.n_sites + 1) or amps.size < 4:
             raise ValueError("amplitude count must be 2^(n_sites + 1) with n_sites >= 1")
         if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # a NaN or inf norm fails too
             raise ValueError("dense state must be finite and normalized")
-        amps.setflags(write=False)
-
-
-def _adopt(amps: np.ndarray, n_sites: int) -> DenseState:
-    """A DenseState over ``amps`` itself, not a copy: for complex arrays no caller holds."""
-    state = object.__new__(DenseState)
-    state.__dict__.update(amplitudes=amps, n_sites=n_sites)
-    state._seal()
-    return state
+        self.__dict__.update(amplitudes=_freeze(amps))
 
 
 def _check_cap(n_sites: int, site_cap: int) -> None:
@@ -119,7 +107,7 @@ def build_initial(model: SpinBathModel, site_cap: int = DEFAULT_SITE_CAP) -> Den
     """Materialize the t = 0 product state over all 2^(N+1) basis vectors."""
     _check_cap(model.n_sites, site_cap)
     amps = np.array([model.a, model.b], dtype=complex)
-    return _adopt(_grow(amps, np.multiply, zip(model.alphas, model.betas)), model.n_sites)
+    return DenseState(_grow(amps, np.multiply, zip(model.alphas, model.betas)), model.n_sites)
 
 
 def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
@@ -144,7 +132,7 @@ def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
     np.conjugate(amps[q - 1 :: -1], out=amps[q : 2 * q])
     np.conjugate(amps[: 2 * q], out=amps[2 * q :])
     amps *= state.amplitudes
-    return _adopt(amps, state.n_sites)
+    return DenseState(amps, state.n_sites)
 
 
 def oracle_expectation(state: DenseState, obs: RelevantObservable) -> float:

@@ -610,6 +610,18 @@ class TestExitCodes:
         code = run_cli(["oracle-check", "--n", "30", "--trials", "1"], tmp_path)
         assert code == EXIT_RESOURCE_CAP
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+    def test_refused_allocation_maps_to_resource_code(self, tmp_path, capsys, monkeypatch, message):
+        # A handler that raises MemoryError stands in for numpy refusing an
+        # array too large for the address space; nothing is allocated.
+        def refuse(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._HANDLERS, "simulate-r", refuse)
+        assert run_cli(["simulate-r", "--n", "5"], tmp_path / "out") == EXIT_RESOURCE_CAP
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_amplitudes_off_unit_norm_are_rejected(self, tmp_path, capsys):
         # |a|^2 + |b|^2 is 1 - 5.3e-10 here: too far off for the dense state's
         # norm check, so the model must not be accepted in the first place.

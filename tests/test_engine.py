@@ -239,6 +239,30 @@ class TestOverlap:
         assert np.array_equal(overlap_r(model, -times), expected)
         assert np.array_equal(overlap_r(swapped, times), expected)
 
+    @pytest.mark.parametrize("probe", [(), (0.6, 0.8j), (0.8, -0.6)])
+    @pytest.mark.parametrize(
+        "n_sites, grid", [(n, g) for n in (7, 100, 3000) for g in ("even", "uneven")] + [(10**4, "t<=1")]
+    )
+    def test_probe_sigma_x_is_the_real_part_of_w_times_overlap(self, n_sites, grid, probe):
+        # sigma_x on the probe with identity on every site: the coherence
+        # product gamma1 has the overlap's factors, so the three-product
+        # layout of expectation must give 2 Re(a conj(b) r) from the
+        # one-product layout of overlap_r, bit for bit on normal rows.
+        model = sample_model(n_sites, 5, *probe)
+        t_max = 100.0 / model.mean_coupling
+        times = {
+            "even": np.linspace(0.0, t_max, 2000),
+            "uneven": np.sort(np.random.default_rng(n_sites).uniform(0.0, t_max, 500)),
+            "t<=1": np.linspace(0.0, 1.0, 2000),
+        }[grid]
+        r = overlap_r(model, times)
+        w = 2.0 * model.a * np.conj(model.b)
+        expected = r.real * w.real - r.imag * w.imag
+        got = expectation(model, eid_observable(0.0, 1.0, 0.0, n_sites), times)
+        normal = np.abs(expected) >= np.finfo(float).tiny
+        assert np.array_equal(got[normal], expected[normal])
+        assert np.all(np.abs(got[~normal] - expected[~normal]) <= 5e-324)
+
     @given(seed=seed_strategy, t=times_strategy)
     @settings(max_examples=40, deadline=None)
     def test_squared_modulus_product_form(self, seed, t):

@@ -7,7 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from spinbath.analysis import r_trajectory
+from spinbath.engine import reduced_system_state
+from spinbath.ensemble import commensurate_model, sample_model, sample_observable
 from spinbath.model import (
+    _SITE_CHUNK,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
@@ -19,6 +23,7 @@ from spinbath.model import (
     make_observable,
     single_site_observable,
 )
+from spinbath.oracle import DenseState, build_initial, evolve
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -180,14 +185,31 @@ class TestObservables:
         with pytest.raises(ValueError):
             obs.system_part[0, 0] = 5.0
 
-    def test_direct_construction_bypasses_checks(self):
-        # The dataclass itself is a dumb container; validation lives in the
-        # constructors that downstream code uses.
+    def test_direct_construction_checks_its_parts(self):
         raw = RelevantObservable(
             system_part=np.eye(2, dtype=complex),
-            site_parts=np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)),
+            site_parts=np.array(np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2))),
         )
         assert raw.n_sites == 2
+        bad_off = np.array([[1.0, 1.0j], [1.0j, 0.0]])
+        with pytest.raises(ValueError, match="^site part 2 off-diagonal entries must be conjugates$"):
+            RelevantObservable(IDENTITY_2, np.array([IDENTITY_2, bad_off]))
+        with pytest.raises(ValueError, match="^system part off-diagonal entries must be conjugates$"):
+            RelevantObservable(bad_off, np.array([IDENTITY_2]))
+
+    def test_direct_construction_checks_shapes(self):
+        with pytest.raises(ValueError, match="system part must be a 2x2 matrix"):
+            RelevantObservable(np.eye(3), np.array([IDENTITY_2]))
+        with pytest.raises(ValueError, match=re.escape("(n, 2, 2) stack, got shape (2, 2)")):
+            RelevantObservable(IDENTITY_2, IDENTITY_2)
+        with pytest.raises(ValueError, match="at least one site part"):
+            RelevantObservable(IDENTITY_2, np.empty((0, 2, 2)))
+
+    def test_site_parts_are_checked_past_the_first_chunk(self):
+        parts = np.array(np.broadcast_to(IDENTITY_2, (_SITE_CHUNK + 3, 2, 2)))
+        parts[_SITE_CHUNK + 1, 0, 0] = 1.0j
+        with pytest.raises(ValueError, match=f"^site part {_SITE_CHUNK + 2} diagonal must be real$"):
+            RelevantObservable(IDENTITY_2, parts)
 
 
 class TestTrajectory:
@@ -220,3 +242,86 @@ def test_spinbathmodel_direct_fields_are_what_constructors_fill():
     assert model.alphas.dtype == complex
     assert model.couplings.dtype == float
     assert model.n_sites == 2
+
+
+class TestDirectModelConstruction:
+    """SpinBathModel checks what it is given, however it is built."""
+
+    def test_replace_rechecks_normalization(self):
+        model = sample_model(5, 0)
+        with pytest.raises(ValueError, match="site 1 amplitudes not normalized"):
+            dataclasses.replace(model, alphas=3 * model.alphas)
+        with pytest.raises(ValueError, match="system amplitudes not normalized"):
+            dataclasses.replace(model, a=1.0)
+
+    def test_nan_coupling_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("site 2 coupling must be positive, got nan")):
+            SpinBathModel(1.0, 0.0, np.ones(3), np.zeros(3), np.array([1.0, math.nan, 1.0]))
+
+    def test_columns_of_unequal_length_are_named(self):
+        with pytest.raises(ValueError, match=re.escape("one length, got shapes ((3,), (3,), (2,))")):
+            SpinBathModel(1.0, 0.0, np.ones(3), np.zeros(3), np.ones(2))
+        with pytest.raises(ValueError, match=re.escape("1-D of one length, got shapes ((1, 3),")):
+            SpinBathModel(1.0, 0.0, np.ones((1, 3)), np.zeros((1, 3)), np.ones((1, 3)))
+
+    def test_needs_a_site(self):
+        with pytest.raises(ValueError, match="at least one environment site"):
+            SpinBathModel(1.0, 0.0, np.ones(0), np.zeros(0), np.ones(0))
+
+    def test_sites_are_checked_past_the_first_chunk(self):
+        n = _SITE_CHUNK + 3
+        couplings = np.ones(n)
+        couplings[_SITE_CHUNK + 1] = -1.0
+        with pytest.raises(ValueError, match=f"^site {_SITE_CHUNK + 2} coupling must be positive"):
+            SpinBathModel(1.0, 0.0, np.ones(n), np.zeros(n), couplings)
+
+    def test_complex_couplings_with_zero_imaginary_part_become_real(self):
+        couplings = np.array([1.0 + 0.0j, 2.0 + 0.0j])
+        model = SpinBathModel(1.0, 0.0, np.ones(2), np.zeros(2), couplings)
+        assert model.couplings.dtype == float and model.couplings.flags.c_contiguous
+        assert model.couplings.tolist() == [1.0, 2.0]
+        assert couplings.flags.writeable  # converted, so the caller's array is untouched
+        with pytest.raises(ValueError, match=re.escape("site 2 coupling must be real, got (2+1j)")):
+            SpinBathModel(1.0, 0.0, np.ones(2), np.zeros(2), np.array([1.0, 2.0 + 1.0j]))
+
+    def test_complex_columns_are_shared_and_frozen(self):
+        alphas = np.ones(2, dtype=complex)
+        model = SpinBathModel(1.0, 0.0, alphas, [0.0, 0.0], [1.0, 2.0])
+        assert model.alphas is alphas and not alphas.flags.writeable
+        assert model.a == 1.0 + 0.0j and isinstance(model.a, complex)
+
+
+def _model():
+    return sample_model(4, 2)
+
+
+_PARTS = np.broadcast_to(IDENTITY_2, (3, 2, 2))
+
+BUILT_EVERY_WAY = {
+    "make_model": lambda: make_model(INV, INV, [(INV, INV, 1.0), (0.6, 0.8j, 2.0)]),
+    "sample_model": _model,
+    "commensurate_model": lambda: commensurate_model(4, 0.5, 2),
+    "dataclasses.replace": lambda: dataclasses.replace(_model(), couplings=np.arange(1.0, 5.0)),
+    "SpinBathModel": lambda: SpinBathModel(1.0, 0.0, np.ones(2, complex), np.zeros(2, complex), np.ones(2)),
+    "make_observable": lambda: make_observable(SIGMA_Z, [IDENTITY_2, SIGMA_X]),
+    "eid_observable": lambda: eid_observable(0.0, 1.0, 0.0, 3),
+    "single_site_observable": lambda: single_site_observable(2, SIGMA_Z, 3),
+    "sample_observable": lambda: sample_observable(3, 1),
+    "RelevantObservable": lambda: RelevantObservable(np.array(SIGMA_X), np.array(_PARTS)),
+    "build_initial": lambda: build_initial(_model()),
+    "evolve": lambda: evolve(build_initial(_model()), _model(), 1.5),
+    "DenseState": lambda: DenseState(np.full(8, 1.0 / math.sqrt(8), complex), 2),
+    "r_trajectory": lambda: r_trajectory(_model(), 5.0, 11),
+    "reduced_system_state": lambda: reduced_system_state(_model(), 1.5),
+}
+
+
+@pytest.mark.parametrize("constructor", list(BUILT_EVERY_WAY))
+def test_every_array_field_and_its_base_is_read_only(constructor):
+    built = BUILT_EVERY_WAY[constructor]()
+    arrays = [v for v in vars(built).values() if isinstance(v, np.ndarray)]
+    assert arrays
+    for arr in arrays:
+        assert not arr.flags.writeable
+        if isinstance(arr.base, np.ndarray):
+            assert not arr.base.flags.writeable

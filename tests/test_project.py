@@ -91,3 +91,33 @@ def test_every_private_name_and_import_in_src_is_read():
         read_here = reads(tree)
         unread |= {(name, n) for n in imported_names(tree) if n not in read_here}
     assert unread == UNREAD_WRAP_POINTS
+
+
+def calls(tree: ast.AST) -> set[str]:
+    """Names of the functions and methods a tree calls."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Module-level names and class-level names as ``Class.name``."""
+    names = set(module_level_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{item.name}" for item in node.body if hasattr(item, "name")}
+    return names
+
+
+def test_domain_types_alone_check_and_freeze_their_arrays():
+    # SpinBathModel, RelevantObservable and DenseState check and freeze what
+    # they are given in __post_init__; no factory repeats that work.
+    trees = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    checkers = {"_check_sites", "_check_hermitian_stack"}
+    assert {name for name, tree in trees.items() if calls(tree) & checkers} == {"model.py"}
+    assert "setflags" not in calls(trees["ensemble.py"])
+    defined = set().union(*(defined_names(tree) for tree in trees.values()))
+    assert not defined & {"_frozen_array", "_adopt", "DenseState._seal"}
