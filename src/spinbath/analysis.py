@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import _product, _site_weights, overlap_r
 from .ensemble import sample_model
-from .model import SpinBathModel, Trajectory
+from .model import SpinBathModel, Trajectory, _Checked
 
 # Reduced Planck constant in eV s; the only dimensionful number in the package.
 HBAR_EV_S = 6.582119569e-16
@@ -31,7 +31,7 @@ COMMENSURATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class DecoherenceVerdict:
+class DecoherenceVerdict(_Checked):
     """Outcome of the threshold-and-hold test on one trajectory.
 
     ``t_d`` is the earliest grid time from which the magnitude stays at or
@@ -59,7 +59,7 @@ class DecoherenceVerdict:
 
 
 @dataclass(frozen=True)
-class TimescaleReport:
+class TimescaleReport(_Checked):
     """hbar/V decoherence-time estimates for two interaction strengths.
 
     ``t_ds_s`` belongs to the first strength (the strong, self-interaction
@@ -77,9 +77,7 @@ class TimescaleReport:
     def __post_init__(self):
         # timescale_estimate raises unless the strength is positive and finite.
         t_ds, t_du = timescale_estimate(self.v1_ev), timescale_estimate(self.v2_ev)
-        object.__setattr__(self, "t_ds_s", t_ds)
-        object.__setattr__(self, "t_du_s", t_du)
-        object.__setattr__(self, "hierarchy_ok", (not self.v1_ev > self.v2_ev) or t_ds < t_du)
+        self._store(t_ds_s=t_ds, t_du_s=t_du, hierarchy_ok=(not self.v1_ev > self.v2_ev) or t_ds < t_du)
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,23 @@ def r_trajectory(model: SpinBathModel, t_max: float, points: int) -> Trajectory:
     return Trajectory(times=times, values=overlap_r(model, times))
 
 
+def predicted_rel_stderr(model: SpinBathModel, samples: int) -> float:
+    """Relative standard error sqrt(V / samples) of a mean of |r|^2 at random times.
+
+    Site i contributes |f_i|^2 = a_i + b_i cos(2 g_i t), with
+    a_i = |alpha_i|^4 + |beta_i|^4 and b_i = 2 |alpha_i|^2 |beta_i|^2.  For
+    incommensurate couplings the cosines at a random late time are
+    independent, so one sample of |r|^2 has relative variance
+    V = prod_i (1 + b_i^2 / (2 a_i^2)) - 1, summed as log1p terms; inf where
+    it overflows.
+    """
+    w_up, w_down = _site_weights(model)
+    ratio = 2.0 * (w_up * w_down / (w_up**2 + w_down**2)) ** 2  # b^2 / (2 a^2)
+    with np.errstate(over="ignore"):
+        variance = np.expm1(np.log1p(ratio).sum())
+    return float(np.sqrt(variance / samples))
+
+
 def fluctuation_stats(
     model: SpinBathModel,
     t_window: tuple[float, float],
@@ -163,7 +178,8 @@ def fluctuation_stats(
     incommensurate couplings (commensurate models belong in recurrence_check
     instead).  Returns (measured mean, prediction).  Raises ValueError when
     the prediction is below the smallest normal double, where neither number
-    nor their ratio means anything.
+    nor their ratio means anything, and then when ``predicted_rel_stderr``
+    exceeds 1, where the samples cannot resolve the mean.
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
@@ -176,6 +192,13 @@ def fluctuation_stats(
         raise ValueError(
             f"predicted late-time |r|^2 = {predicted_r2!r} is below the smallest "
             f"normal double; use fewer sites"
+        )
+    rel_stderr = predicted_rel_stderr(model, samples)
+    if rel_stderr > 1.0:
+        raise ValueError(
+            f"{samples} samples leave the late-time mean of |r|^2 a predicted relative "
+            f"standard error of {rel_stderr:.3g}; about {rel_stderr**2 * samples:.3g} "
+            f"samples bring it to 1, or use fewer sites"
         )
     gen = np.random.default_rng(seed)
     ts = gen.uniform(t0, t1, samples)

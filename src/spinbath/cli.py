@@ -29,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import TimescaleReport, fluctuation_stats, n_scaling_sweep, recurrence_check
+from .analysis import (
+    TimescaleReport,
+    fluctuation_stats,
+    n_scaling_sweep,
+    predicted_rel_stderr,
+    recurrence_check,
+)
 from .config import (
     COMMANDS,
     ExperimentConfig,
@@ -327,6 +333,7 @@ def _cmd_fluctuation(cfg: ExperimentConfig) -> dict:
         "mean_r2": mean_r2,
         "predicted_r2": predicted_r2,
         "ratio": mean_r2 / predicted_r2,
+        "predicted_rel_stderr": predicted_rel_stderr(model, cfg.samples),
     }
 
 

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .ensemble import DEFAULT_AMPLITUDE, sample_observable
-from .model import PAULI_BY_NAME, RelevantObservable, eid_observable, single_site_observable
+from .model import PAULI_BY_NAME, RelevantObservable, _Checked, eid_observable, single_site_observable
 from .oracle import DEFAULT_SITE_CAP
 
 _MODEL_FIELDS = ("n", "seed", "a_re", "a_im", "b_re", "b_im")
@@ -58,7 +58,7 @@ _FIELD_TYPES = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Checked):
     """All knobs of one reproducible run, in one flat namespace.
 
     Every value must have its field's type (an int field takes no bool, a
@@ -103,7 +103,7 @@ class ExperimentConfig:
             check, coerce = _FIELD_TYPES[kind]
             if not check(value):
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
-            object.__setattr__(self, f.name, coerce(value))
+            self._store(**{f.name: coerce(value)})
         if self.command not in COMMANDS:
             raise ValueError(
                 f"unknown command {self.command!r}; known: {', '.join(COMMANDS)}"

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelevantObservable, SpinBathModel
+from .model import RelevantObservable, SpinBathModel, _Checked
 
 # Factors are built and multiplied in tiles of at most _TILE_TIMES times and
 # _TILE_ELEMENTS (sites x times) elements, and at most _TILE_SITES sites: a
@@ -82,7 +82,7 @@ _DROP = -1077
 
 
 @dataclass(frozen=True)
-class ReducedState:
+class ReducedState(_Checked):
     """2x2 state of the central qubit after tracing out the bath."""
 
     matrix: np.ndarray
@@ -102,8 +102,7 @@ class ReducedState:
         disc = max(1.0 - 4.0 * det, 0.0)
         if 0.5 * (1.0 - np.sqrt(disc)) < -1e-12:
             raise ValueError("reduced state must be positive semidefinite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._store(matrix=mat)
 
 
 def _as_times(t) -> tuple[np.ndarray, bool]:

@@ -202,8 +202,6 @@ def commensurate_model(n_sites: int, g_base: float, seed: int) -> SpinBathModel:
     are replaced.  Both probe amplitudes are 1/sqrt(2); the overlap does not
     depend on them.
     """
-    if not (np.isfinite(g_base) and g_base > 0.0):
-        raise ValueError("base coupling must be positive and finite")
     model = sample_model(n_sites, seed)
     with np.errstate(over="ignore"):  # the model's check names an overflowing rung
         couplings = np.arange(1, n_sites + 1) * float(g_base)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelevantObservable, SpinBathModel, _freeze
+from .model import RelevantObservable, SpinBathModel, _Checked
 
 # At the default cap a state is 2^25 complex doubles, 512 MiB.  evolve holds
 # the input, the rotated vector and the 2^23 field values it builds for the
@@ -52,7 +52,7 @@ class SiteCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DenseState:
+class DenseState(_Checked):
     """Full state vector over the central qubit and all bath sites.
 
     The central qubit is the most significant bit; site j sits at bit
@@ -69,7 +69,7 @@ class DenseState:
             raise ValueError("amplitude count must be 2^(n_sites + 1) with n_sites >= 1")
         if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # a NaN or inf norm fails too
             raise ValueError("dense state must be finite and normalized")
-        self.__dict__.update(amplitudes=_freeze(amps))
+        self._store(amplitudes=amps)
 
 
 def _check_cap(n_sites: int, site_cap: int) -> None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from spinbath.analysis import (
     decoherence_time,
     fluctuation_stats,
     n_scaling_sweep,
+    predicted_rel_stderr,
     r_trajectory,
     recurrence_check,
     timescale_estimate,
 )
 from spinbath.engine import expectation, overlap_r
 from spinbath.ensemble import commensurate_model, sample_model
-from spinbath.model import Trajectory, eid_observable, make_model
+from spinbath.model import SpinBathModel, Trajectory, eid_observable, make_model
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -198,6 +200,51 @@ class TestFluctuationStats:
         model = sample_model(3, 0)
         with pytest.raises(ValueError, match="samples"):
             fluctuation_stats(model, (5.0, 10.0), samples=50)
+
+    @pytest.mark.parametrize("n_sites, samples, rel", [(5, 100_000, 0.03), (20, 400_000, 0.2)])
+    def test_predicted_variance_matches_monte_carlo(self, n_sites, samples, rel):
+        # V = samples * stderr^2 is the relative variance of one |r|^2 sample
+        # at a random time; the window is long enough for the incommensurate
+        # cosines to decorrelate (seed 0: V = 1.585 at N = 5, 19.6 at N = 20).
+        model = sample_model(n_sites, 0)
+        r2 = np.abs(overlap_r(model, np.random.default_rng(1).uniform(0.0, 1e7, samples))) ** 2
+        predicted = np.prod(np.abs(model.alphas) ** 4 + np.abs(model.betas) ** 4)
+        assert r2.var() / predicted**2 == pytest.approx(
+            samples * predicted_rel_stderr(model, samples) ** 2, rel=rel
+        )
+
+    @pytest.mark.parametrize(
+        "n_sites, expected", [(5, 0.063), (20, 0.221), (50, 4.92), (100, 550.0), (1000, 1.35e37)]
+    )
+    def test_predicted_rel_stderr_at_400_samples(self, n_sites, expected):
+        assert predicted_rel_stderr(sample_model(n_sites, 0), 400) == pytest.approx(expected, rel=5e-3)
+
+    def test_subnormal_prediction_is_refused_before_the_stderr(self):
+        # 72000 sites with b_i = 0.01 predict |r|^2 = 0.99^72000 ~ e^-724, a
+        # subnormal double, at a standard error the stderr check would pass.
+        w_up = (1.0 - math.sqrt(1.0 - 0.02)) / 2.0
+        n = 72_000
+        alphas, betas = np.full(n, math.sqrt(w_up)), np.full(n, math.sqrt(1.0 - w_up))
+        model = SpinBathModel(INV, INV, alphas, betas, np.ones(n))
+        assert predicted_rel_stderr(model, 400) == pytest.approx(0.31, abs=0.01)
+        with pytest.raises(ValueError, match="smallest normal"):
+            fluctuation_stats(model, (50.0, 550.0))
+
+    def test_stderr_overflows_to_inf(self):
+        balanced = make_model(INV, INV, [(INV, INV, 1.0 + k / 7) for k in range(2000)])
+        assert predicted_rel_stderr(balanced, 400) == math.inf
+
+    @pytest.mark.parametrize("n_sites, needed", [(50, "9.69e+03"), (1000, "7.27e+76")])
+    def test_unresolvable_mean_is_rejected(self, n_sites, needed):
+        model = sample_model(n_sites, 0)
+        with pytest.raises(ValueError, match=f"standard error of .*; about {re.escape(needed)} samples"):
+            fluctuation_stats(model, (50.0, 550.0))
+
+    def test_enough_samples_resolve_the_mean(self):
+        # The N = 50 message names 9.69e3 samples; 10^4 bring the error below 1.
+        model = sample_model(50, 0)
+        assert predicted_rel_stderr(model, 10_000) < 1.0
+        fluctuation_stats(model, (50.0, 550.0), samples=10_000)
 
 
 class TestRecurrence:

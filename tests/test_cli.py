@@ -315,6 +315,7 @@ class TestJsonOutputs:
         run_cli(["fluctuation", "--n", "20", "--samples", "400"], tmp_path)
         payload = json.loads((tmp_path / "fluctuation.json").read_text())
         assert 0.5 <= payload["ratio"] <= 2.0
+        assert payload["predicted_rel_stderr"] == pytest.approx(0.221, abs=1e-3)
 
     def test_oracle_check_passes(self, tmp_path):
         code = run_cli(
@@ -744,6 +745,12 @@ class TestExitCodes:
         # At 2000 sites the predicted late-time |r|^2 is below 2^-1022.
         assert run_cli(["fluctuation", "--n", "2000"], tmp_path) == EXIT_INVALID
         assert "smallest normal" in capsys.readouterr().err
+        assert not (tmp_path / "fluctuation.json").exists()
+
+    @pytest.mark.parametrize("n_sites", ["50", "1000"])
+    def test_fluctuation_that_samples_cannot_resolve_fails(self, tmp_path, capsys, n_sites):
+        assert run_cli(["fluctuation", "--n", n_sites], tmp_path) == EXIT_INVALID
+        assert "relative standard error" in capsys.readouterr().err
         assert not (tmp_path / "fluctuation.json").exists()
 
     def test_version_flag(self, capsys):

@@ -187,6 +187,16 @@ class TestExpectation:
             expectation(sample_model(3, 0), sample_observable(3, 1), np.zeros((2, 3)))
 
 
+def relation_times(model, grid):
+    """The grids the metamorphic relations run on: even or uneven up to 100/gbar, or t <= 1."""
+    t_max = 100.0 / model.mean_coupling
+    return {
+        "even": np.linspace(0.0, t_max, 2000),
+        "uneven": np.sort(np.random.default_rng(model.n_sites).uniform(0.0, t_max, 500)),
+        "t<=1": np.linspace(0.0, 1.0, 2000),
+    }[grid]
+
+
 class TestOverlap:
     def test_normalized_at_zero(self):
         assert overlap_r(sample_model(10, 1), 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
@@ -249,12 +259,7 @@ class TestOverlap:
         # layout of expectation must give 2 Re(a conj(b) r) from the
         # one-product layout of overlap_r, bit for bit on normal rows.
         model = sample_model(n_sites, 5, *probe)
-        t_max = 100.0 / model.mean_coupling
-        times = {
-            "even": np.linspace(0.0, t_max, 2000),
-            "uneven": np.sort(np.random.default_rng(n_sites).uniform(0.0, t_max, 500)),
-            "t<=1": np.linspace(0.0, 1.0, 2000),
-        }[grid]
+        times = relation_times(model, grid)
         r = overlap_r(model, times)
         w = 2.0 * model.a * np.conj(model.b)
         expected = r.real * w.real - r.imag * w.imag
@@ -262,6 +267,30 @@ class TestOverlap:
         normal = np.abs(expected) >= np.finfo(float).tiny
         assert np.array_equal(got[normal], expected[normal])
         assert np.all(np.abs(got[~normal] - expected[~normal]) <= 5e-324)
+
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    @pytest.mark.parametrize(
+        "n_sites, grid", [(7, "even"), (100, "even"), (3000, "even"), (3000, "uneven"), (10**4, "t<=1")]
+    )
+    def test_halves_and_reversed_order_agree_within_rounding(self, n_sites, grid, seed):
+        # r is a product over sites, so the product of the two halves' r and
+        # r of the sites in reverse order equal it up to rounding: within
+        # 4 N eps |r|, plus 8 units of the least subnormal where r underflows.
+        model = sample_model(n_sites, seed)
+        times = relation_times(model, grid)
+
+        def sites(rows):
+            return dataclasses.replace(
+                model, alphas=model.alphas[rows], betas=model.betas[rows], couplings=model.couplings[rows]
+            )
+
+        r = overlap_r(model, times)
+        half = n_sites // 2
+        halves = overlap_r(sites(slice(None, half)), times) * overlap_r(sites(slice(half, None)), times)
+        reverse = overlap_r(sites(slice(None, None, -1)), times)
+        bound = 4 * n_sites * np.finfo(float).eps * np.abs(r) + 8 * 2.0**-1074
+        assert np.all(np.abs(halves - r) <= bound)
+        assert np.all(np.abs(reverse - r) <= bound)
 
     @given(seed=seed_strategy, t=times_strategy)
     @settings(max_examples=40, deadline=None)

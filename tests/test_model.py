@@ -1,14 +1,17 @@
 """Construction and validation rules for models, observables and trajectories."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from spinbath.analysis import r_trajectory
-from spinbath.engine import reduced_system_state
+from spinbath.analysis import DecoherenceVerdict, TimescaleReport, r_trajectory
+from spinbath.config import ExperimentConfig
+from spinbath.engine import ReducedState, reduced_system_state
 from spinbath.ensemble import commensurate_model, sample_model, sample_observable
 from spinbath.model import (
     _SITE_CHUNK,
@@ -325,3 +328,74 @@ def test_every_array_field_and_its_base_is_read_only(constructor):
         assert not arr.flags.writeable
         if isinstance(arr.base, np.ndarray):
             assert not arr.base.flags.writeable
+
+
+def test_a_checked_reduced_state_cannot_change_through_the_array_it_views():
+    big = np.zeros((3, 3), complex)
+    big[0, 0] = 1
+    state = ReducedState(big[:2, :2])
+    with pytest.raises(ValueError, match="read-only"):
+        big[1, 1] = 5
+    assert np.trace(state.matrix) == 1
+
+
+# One instance of every type that checks itself in __post_init__.
+CHECKED = {
+    "SpinBathModel": _model,
+    "RelevantObservable": lambda: sample_observable(3, 1),
+    "Trajectory": lambda: r_trajectory(_model(), 5.0, 11),
+    "DenseState": lambda: build_initial(_model()),
+    "ReducedState": lambda: reduced_system_state(_model(), 1.5),
+    "DecoherenceVerdict": lambda: DecoherenceVerdict(math.inf, 0.1, 2.0, 0.5, decohered=False),
+    "TimescaleReport": lambda: TimescaleReport(3.5, 0.25),
+    "ExperimentConfig": lambda: ExperimentConfig("sweep-n", n_list=(3, 30), window=2.0),
+}
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("copier", list(COPIERS))
+@pytest.mark.parametrize("name", list(CHECKED))
+def test_copies_are_rebuilt_through_the_constructor(name, copier, monkeypatch):
+    original = CHECKED[name]()
+    cls = type(original)
+    assert cls.__name__ == name
+    checks = []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: checks.append(post_init(self)))
+    duplicate = COPIERS[copier](original)
+    assert type(duplicate) is cls and len(checks) == 1
+    for f in dataclasses.fields(original):
+        value, copied = getattr(original, f.name), getattr(duplicate, f.name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(copied, value) and copied.dtype == value.dtype
+            assert not copied.flags.writeable
+            if isinstance(copied.base, np.ndarray):
+                assert not copied.base.flags.writeable
+        else:
+            assert copied == value
+
+
+class TestFactoriesLeaveTheirChecksToTheTypes:
+    def test_eid_observable_without_sites(self):
+        with pytest.raises(ValueError, match="observable needs at least one site part"):
+            eid_observable(1, 0, -1, 0)
+        with pytest.raises(ValueError):
+            eid_observable(1, 0, -1, -1)
+
+    def test_single_site_observable_without_sites(self):
+        with pytest.raises(ValueError, match="out of range"):
+            single_site_observable(1, SIGMA_Z, 0)
+
+    @pytest.mark.parametrize("g_base", [0.0, -1.0, math.nan, math.inf])
+    def test_commensurate_model_names_the_first_bad_rung(self, g_base):
+        with pytest.raises(ValueError, match="^site 1 coupling must be positive"):
+            commensurate_model(5, g_base, 0)
+
+    def test_commensurate_model_names_an_overflowing_rung(self):
+        with pytest.raises(ValueError, match=re.escape("site 2 coupling must be positive, got inf")):
+            commensurate_model(5, 1e308, 0)

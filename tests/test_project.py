@@ -120,4 +120,24 @@ def test_domain_types_alone_check_and_freeze_their_arrays():
     assert {name for name, tree in trees.items() if calls(tree) & checkers} == {"model.py"}
     assert "setflags" not in calls(trees["ensemble.py"])
     defined = set().union(*(defined_names(tree) for tree in trees.values()))
-    assert not defined & {"_frozen_array", "_adopt", "DenseState._seal"}
+    assert not defined & {"_frozen_array", "_adopt", "DenseState._seal", "_freeze"}
+
+
+def test_checked_types_store_through_one_base():
+    # Every class that checks itself in __post_init__ derives from
+    # model._Checked, whose _store alone writes fields and freezes arrays.
+    trees = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    checked = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "__post_init__" for item in node.body)
+    }
+    assert len(checked) == 8
+    assert all("_Checked" in bases for bases in checked.values()), checked
+    for name, tree in trees.items():
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "__setattr__" not in attributes, name
+        if name != "model.py":
+            assert not attributes & {"setflags", "__dict__"}, name
