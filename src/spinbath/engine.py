@@ -19,9 +19,13 @@ time points whose block product falls below that floor, or to 0, are
 recomputed from factors split one by one into mantissa and exponent.
 Results underflow gradually the way IEEE doubles do: subnormal where the
 true value is, exactly 0 only below 2^-1074, and a point certainly below
-2^-1075 after a block is not multiplied further.  Factors are built one tile
-of at most 2^15 site-times (32 sites x 1024 times on a long grid), so a call
-holds O(N + T) memory, never an (N, T) matrix.
+2^-1075 after a block is not multiplied further.  The loop is site-major:
+within each chunk of up to 4096 times, every site block (32 sites on a long
+grid) builds what depends on its sites alone once, then sweeps the chunk's
+live times in tiles of at most 2^15 site-times per product (32 sites x 1024
+times), so a call holds O(N + T) memory, never an (N, T) matrix.  Which
+factors meet at a time point is fixed by the run geometry below and the site
+blocks; the chunk and tile widths set memory and speed and move no byte.
 
 Every per-site factor is f = a + b cos(g t) + c sin(g t): callers give the
 coefficients (a, b, c).  On an evenly spaced grid (every t_k within
@@ -31,10 +35,11 @@ time, the offset p in a run has a fine angle beta = g p h, and by angle
 addition f = a + P cos beta + Q sin beta with P = b cos alpha + c sin alpha,
 Q = c cos alpha - b sin alpha.  Per site, [1, cos alpha, sin alpha] times the
 rotated coefficients is [a, P, Q], and that times [1, cos beta, sin beta] is
-the tile: two matrix products and 32 + 32 cos/sin pairs for 1024 times.  The
-phase moves by at most about |g| 4 ulp(max |t|), the order of the rounding of
-g t itself.  Other grids and scalar times take L = 1 and beta = 0, so f = a + P
-is [1, cos g t, sin g t] times [a, b, c]: one matrix product per site.
+the tile: two matrix products and 32 cos/sin pairs per site for 1024 times,
+plus the run's 32 fine pairs once per site and chunk.  The phase moves by at
+most about |g| 4 ulp(max |t|), the order of the rounding of g t itself.
+Other grids and scalar times take L = 1 and beta = 0, so f = a + P is
+[1, cos g t, sin g t] times [a, b, c]: one matrix product per site.
 The products go through BLAS, so the bytes depend on its kernels (fused
 multiply-add or not) and numpy's SIMD level; values agree to a few ulp.
 
@@ -52,24 +57,33 @@ import numpy as np
 
 from .model import RelevantObservable, SpinBathModel, _Checked
 
-# Factors are built and multiplied in tiles of at most _TILE_TIMES times and
-# _TILE_ELEMENTS (sites x times) elements, and at most _TILE_SITES sites: a
-# product of _TILE_SITES split mantissas, each with its larger component in
-# [0.5, 1), stays above 2^-1000, still a normal double.  Medians of 2 x 10
-# alternating rounds on a shared 2-core x86-64 machine, numpy 2.4, OpenBLAS
-# Haswell kernels: overlap_r at N = 10^4, T = 2000; expectation at N = 48,
-# T = 2e5; overlap_r at N = 30, 300, 3000 and 10^4, T = 400; and the traced
-# peaks of _expectation_products at N = 48, T = 2e5 (6.1 MiB of it the
-# results) and of overlap_r at N = 10^4, T = 2000.
+# Factors are folded in site blocks of at most _TILE_SITES sites and
+# _TILE_ELEMENTS // min(T, _TILE_TIMES) sites: a product of _TILE_SITES split
+# mantissas, each with its larger component in [0.5, 1), stays above 2^-1000,
+# still a normal double.  The blocks fix which factors meet, so these three
+# constants fix the output bytes.  Medians of 10 alternating rounds on a shared
+# 2-core x86-64 machine, numpy 2.4, OpenBLAS Haswell kernels, with tiles of
+# 1024 times (_PIECE_ELEMENTS set alike): overlap_r at N = 10^4, T = 2000;
+# expectation at N = 48, T = 2e5; overlap_r at N = 30, 300, 3000 and 10^4,
+# T = 400; and the traced peaks of _expectation_products at N = 48, T = 2e5
+# (6.1 MiB of it the results) and of overlap_r at N = 10^4, T = 2000.
 #
 #   elements  times x sites  overlap  expectation  T = 400  peak      overlap peak
-#   2^14      1024 x 16      0.154 s  0.149 s      0.047 s  6.85 MiB  1.33 MiB
-#   2^15      1024 x 32      0.113 s  0.128 s      0.039 s  7.47 MiB  1.68 MiB
-#   2^16      1024 x 64      0.102 s  0.111 s      0.037 s  8.10 MiB  2.39 MiB
-# 2^16 buys 10% for 0.7 MiB more and no room in test_products_write_time_chunks_in_place.
+#   2^14      1024 x 16      0.118 s  0.142 s      0.051 s  6.63 MiB  1.17 MiB
+#   2^15      1024 x 32      0.102 s  0.092 s      0.035 s  7.00 MiB  1.51 MiB
+#   2^16      1024 x 64      0.084 s  0.094 s      0.031 s  7.68 MiB  2.20 MiB
+# 2^16 buys up to 18% for 0.7 MiB more, and it moves output bytes.
 _TILE_ELEMENTS = 2**15
 _TILE_TIMES = 1024
 _TILE_SITES = 1000
+# Each site block sweeps a chunk of up to _CHUNK_TIMES times, whose running
+# products it keeps, in tiles of up to _PIECE_ELEMENTS site-times of each
+# product; all products share one tile buffer.  Both only set memory and
+# speed.  Tiles of 2048 times for expectation's three products, the bytes of
+# three tiles of 1024, raise its traced peak at N = 48, T = 2e5 from 7.00 to
+# 7.66 MiB for 5-10% less time.
+_PIECE_ELEMENTS = 2**15
+_CHUNK_TIMES = 4096
 # A block product whose larger component is below _FLOOR may have passed
 # through the subnormal range; those points take the per-element split.
 _FLOOR = 2.0**-960
@@ -208,6 +222,32 @@ def _even_step(times: np.ndarray) -> float | None:
         return float(step) if np.all(np.abs(times - grid) <= slack) else None
 
 
+def _live_window(exponents: list[np.ndarray], lo: int, hi: int) -> tuple[int, int]:
+    """The narrowest part of [lo, hi) that holds every point some product keeps above _DROP."""
+    if min(max(e[i] for e in exponents) for i in (lo, hi - 1)) > _DROP:
+        return lo, hi  # both ends live: the window stays
+    live = lo + np.flatnonzero(np.any([e[lo:hi] > _DROP for e in exponents], axis=0))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (lo, lo)
+
+
+def _fine_tiles(coarse: np.ndarray, rights: list[np.ndarray], dtypes: list, store: np.ndarray):
+    """Each product's tile for one block, built in turn in the head of ``store``.
+
+    ``coarse`` holds every product's [a, P, Q] stack side by side, and each
+    right-hand matrix is that product's fine stage: a complex product's
+    block-diagonal pair turns its (re, im) pair of parts into interleaved
+    columns.  A tile is valid until the next one is built.
+    """
+    n, count, _ = coarse.shape
+    j = 0
+    for right, d in zip(rights, dtypes):
+        w = right.shape[1] // 3
+        out = store[: n * count * right.shape[2]].reshape(n, count, right.shape[2])
+        np.matmul(coarse[..., 3 * j : 3 * (j + w)], right, out=out)
+        j += w
+        yield out.view(d).reshape(n, -1)
+
+
 def _site_products(
     couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, coefficients
 ) -> list[np.ndarray]:
@@ -216,21 +256,27 @@ def _site_products(
     ``coefficients`` holds one (a, b, c) triple per product, each a per-site
     array or a scalar; a product is complex where any of them is.  ``bound``
     bounds every factor of a site, whose coefficients are divided by the least
-    power of two at or above it.  Each running product keeps a mantissa and an
-    integer exponent per time point, renormalized by ``_fold`` after every site
-    block; the only rounding to the double range is the final ldexp.
+    power of two at or above it.  Each running product keeps its mantissa in
+    the result array itself and an integer exponent per time point,
+    renormalized by ``_fold`` after every site block; the only rounding to the
+    double range is the final ldexp.
 
-    A tile spans at most _TILE_TIMES times and _TILE_ELEMENTS elements (1024
-    times take blocks of 32 sites) and is built as the module docstring says,
-    batched over its sites; a complex product's parts meet a block-diagonal
-    fine stack and come out interleaved.  The angle stack has at least two
-    rows: BLAS multiplies a one-row matrix on a path that rounds apart.
-    Points at or below _DROP in every product after a block are certainly 0:
-    later tiles span only the live window, each element computed as before.
-    Buffers are allocated once per call for a chunk's first, widest window
-    (the direct path needs ``parts`` coarse columns and no fine stage), and
-    narrower windows take C-contiguous views of their heads.  Times whose
-    phase error, 4 ulp(max |t|) max |g|, is not below 1 radian raise ValueError.
+    The loop is site-major within each chunk of _CHUNK_TIMES times.  Site
+    blocks of ``rows`` sites (32 for 1024 or more times) are the outer loop: a
+    block's rotated coefficients and fine stage are built once, then its tiles
+    are built across the chunk's live window in pieces of whole runs, batched
+    over the block's sites, and folded one product at a time through one
+    shared tile buffer.  A complex product's parts meet a block-diagonal fine
+    stack and come out interleaved.  The angle stack has at least two rows:
+    BLAS multiplies a one-row matrix on a path that rounds apart.  Points at or
+    below _DROP in every product after a block are certainly 0, so later
+    blocks span only the live window.  A point's factors depend only on the
+    run geometry (runs of isqrt(min(T, _TILE_TIMES)) times from the first
+    time) and the fold partition, so chunk and piece sizes move no byte.
+    Buffers are allocated once per call, for a block's widest piece, and later
+    pieces and the last, shorter block take views of their heads.  Times whose
+    phase error, 4 ulp(max |t|) max |g|, is not below 1 radian raise
+    ValueError.
     """
     span = float(np.abs([times.min(initial=0.0), times.max(initial=0.0)]).max())  # NaN if any t is
     blur = 4.0 * float(np.spacing(span)) * float(np.abs(couplings).max(initial=0.0))
@@ -238,6 +284,7 @@ def _site_products(
         raise ValueError(f"times up to {span:.3g} leave the phases g t unresolved by {blur:.3g} rad")
     fraction, powers = np.frexp(bound)
     powers -= fraction == 0.5
+    del fraction  # an (N,) array that the loop below does not need
     scale = int(powers.sum())
     widths = [1 + (np.result_type(*triple).kind == "c") for triple in coefficients]
     *starts, parts = itertools.accumulate([0, *widths])  # each product's first part, and all
@@ -253,64 +300,74 @@ def _site_products(
     rows = min(_TILE_SITES, _TILE_ELEMENTS // cols, couplings.size)
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
-    widest = max(2, math.ceil(cols / run))  # runs in a first window; a lone run goes in twice
+    depth = parts if run == 1 else max(widths)  # doubles per site-time in the shared tile buffer
+    piece = max(1, _PIECE_ELEMENTS // (rows * run)) * run
+    chunk = max(1, _CHUNK_TIMES // run) * run
+    # Runs in the widest piece; a lone run goes in twice.
+    widest = max(2, -(-min(piece, chunk, times.size) // run))
     angle_store = np.empty(rows * 3 * widest)
-    coarse_store = np.empty(rows * widest * (parts if run == 1 else 3 * parts))
+    tile_store = np.empty(rows * widest * run * depth)
     if run > 1:
         offsets = np.arange(run) * step
         rotation = np.zeros((rows, 3, parts, 3))
-        fine, fine_pair = np.ones((rows, 3, run)), np.zeros((rows, 2, 3, run, 2))
-        tile_stores = [np.empty(rows * widest * run, d) for d in dtypes]
-    results = [np.empty(times.size, dtype) for dtype in dtypes]
-    for chunk in range(0, max(times.size, 1), cols):
-        t = times[chunk : chunk + cols]
+        coarse_store = np.empty(rows * widest * 3 * parts)
+        # The fine stage keeps its cos and sin rows contiguous; BLAS gets transposed views.
+        fine, pair = np.ones((3, rows, run)), np.zeros((rows, 2, 3, run, 2))
+    results = [np.empty(times.size, d) for d in dtypes]
+    exponents = [np.empty(min(times.size, chunk), np.int64) for _ in dtypes]
+    for start in range(0, times.size, chunk):
+        t = times[start : start + chunk]
+        mantissas = [result[start : start + t.size] for result in results]
+        running = [exponent[: t.size] for exponent in exponents]
+        for mantissa, exponent in zip(mantissas, running):
+            mantissa.fill(1.0)
+            exponent.fill(scale)
         lo, hi = 0, t.size
-        running = [(np.ones(t.size, d), np.full(t.size, scale, np.int64)) for d in dtypes]
-        for first_site in range(0, couplings.size, rows):
-            sites = slice(first_site, first_site + rows)
+        for site in range(0, couplings.size, rows):
+            if lo == hi:
+                break
+            first = lo - lo % run  # the first time of the run that holds lo
+            sites = slice(site, site + rows)
             g = couplings[sites, None]
             n = g.size
-            first = lo - lo % run  # the first time of the run that holds lo
-            origins = t[first:hi:run]
-            runs = 2 if origins.size == 1 else origins.size  # a lone run goes in twice
-            angles = angle_store[: n * 3 * runs].reshape(n, 3, runs)
-            angles[:, 0] = 1.0
-            alpha = np.multiply(g, origins, out=angles[:, 1])
-            np.sin(alpha, out=angles[:, 2])
-            np.cos(alpha, out=alpha)
-            if run == 1:  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
-                f = coarse_store[: n * runs * parts].reshape(n, runs, parts)
-                np.matmul(angles.transpose(0, 2, 1), scaled[sites], out=f)
-                pieces = zip(starts, widths, dtypes)
-                tiles = [f[..., j : j + w].view(d)[..., 0] for j, w, d in pieces]
-            else:
+            if run > 1:
                 a, b, c = scaled[sites].transpose(1, 0, 2)
                 rotation[:n, 0, :, 0], rotation[:n, 1, :, 1] = a, b
                 rotation[:n, 2, :, 1] = rotation[:n, 1, :, 2] = c
                 np.negative(b, out=rotation[:n, 2, :, 2])
-                beta = np.multiply(g, offsets, out=fine[:n, 1])
-                np.sin(beta, out=fine[:n, 2])
+                beta = np.multiply(g, offsets, out=fine[1, :n])
+                np.sin(beta, out=fine[2, :n])
                 np.cos(beta, out=beta)
-                fine_pair[:n, 0, :, :, 0] = fine_pair[:n, 1, :, :, 1] = fine[:n]
-                coarse = coarse_store[: n * runs * 3 * parts].reshape(n, runs, 3 * parts)
-                np.matmul(angles.transpose(0, 2, 1), rotation[:n].reshape(n, 3, -1), out=coarse)
-                tiles = [store[: n * runs * run].reshape(n, runs * run) for store in tile_stores]
-                for tile, j, w in zip(tiles, starts, widths):
-                    right = (fine if w == 1 else fine_pair)[:n].reshape(n, 3 * w, -1)
-                    out = tile.view(float).reshape(n, runs, w * run)
-                    np.matmul(coarse[..., 3 * j : 3 * j + 3 * w], right, out=out)
-            for (mantissa, exponent), tile in zip(running, tiles):
-                _fold(mantissa[lo:hi], exponent[lo:hi], tile[:, lo - first : hi - first])
-            if lo < hi and min(max(e[i] for _, e in running) for i in (lo, hi - 1)) > _DROP:
-                continue  # both ends live: the window stays
-            live = lo + np.flatnonzero(np.any([e[lo:hi] > _DROP for _, e in running], axis=0))
-            if not live.size:
-                break
-            lo, hi = live[0], live[-1] + 1
-        for (mantissa, exponent), result in zip(running, results):
-            out = _ldexp(mantissa, exponent, out=result[chunk : chunk + cols])
+                fine_stack = fine[:, :n].transpose(1, 0, 2)
+                pair[:n, 0, :, :, 0] = pair[:n, 1, :, :, 1] = fine_stack
+                rights = [(fine_stack, pair[:n].reshape(n, 6, -1))[w - 1] for w in widths]
+            for p in range(first, hi, piece):
+                stop = min(p + piece, hi)
+                origins = t[p:stop:run]
+                count = 2 if origins.size == 1 else origins.size  # a lone run goes in twice
+                angles = angle_store[: 3 * n * count].reshape(3, n, count)
+                angles[0] = 1.0
+                alpha = np.multiply(g, origins, out=angles[1])
+                np.sin(alpha, out=angles[2])
+                np.cos(alpha, out=alpha)
+                stack = angles.transpose(1, 2, 0)
+                if run == 1:  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
+                    f = tile_store[: n * count * parts].reshape(n, count, parts)
+                    np.matmul(stack, scaled[sites], out=f)
+                    parts_of = zip(starts, widths, dtypes)
+                    tiles = (f[..., j : j + w].view(d)[..., 0] for j, w, d in parts_of)
+                else:
+                    coarse = coarse_store[: n * count * 3 * parts].reshape(n, count, 3 * parts)
+                    np.matmul(stack, rotation[:n].reshape(n, 3, -1), out=coarse)
+                    tiles = _fine_tiles(coarse, rights, dtypes, tile_store)
+                begin = max(lo, p)
+                for mantissa, exponent, tile in zip(mantissas, running, tiles):
+                    _fold(mantissa[begin:stop], exponent[begin:stop], tile[:, begin - p : stop - p])
+            lo, hi = _live_window(running, lo, hi)
+        for mantissa, exponent in zip(mantissas, running):
+            _ldexp(mantissa, exponent, out=mantissa)
             # Adding 0 turns a negative number that underflowed to -0.0 into +0.0.
-            out += 0
+            mantissa += 0
     return results
 
 

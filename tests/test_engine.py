@@ -879,25 +879,29 @@ class TestTileConstruction:
     def _tiles(monkeypatch, couplings, times, bound, coefficients):
         """Every factor the kernel builds, one (sites, times) array per product.
 
-        The factors here stay near 1, so no point is dropped and ``_fold``
-        sees each product's blocks chunk by chunk, site block by site block.
+        The factors here stay near 1, so no point is dropped.  Each block that
+        ``_fold`` sees is placed by what it multiplies, not by when: its
+        columns are the times of the running mantissa, which lives in a result
+        array, and each time point meets its site blocks in site order.
         """
-        blocks = []
+        folds = []
         fold = engine._fold
 
         def recording_fold(mantissa, exponent, block):
-            blocks.append(block.copy())
+            folds.append((mantissa.__array_interface__["data"][0], block.copy()))
             fold(mantissa, exponent, block)
 
         monkeypatch.setattr(engine, "_fold", recording_fold)
-        engine._site_products(couplings, times, bound, coefficients)
-        cols = max(1, min(times.size, _TILE_TIMES))
-        per_chunk = -(-couplings.size // min(_TILE_SITES, _TILE_ELEMENTS // cols))
-        tiles = []
-        for k in range(len(coefficients)):
-            mine = blocks[k :: len(coefficients)]
-            chunks = [mine[i : i + per_chunk] for i in range(0, len(mine), per_chunk)]
-            tiles.append(np.concatenate([np.concatenate(c, axis=0) for c in chunks], axis=1))
+        results = engine._site_products(couplings, times, bound, coefficients)
+        tiles = [np.full((couplings.size, times.size), np.nan, r.dtype) for r in results]
+        filled = [np.zeros(times.size, int) for _ in results]
+        for address, block in folds:
+            (k,) = [k for k, r in enumerate(results) if 0 <= address - r.ctypes.data < r.nbytes]
+            first = (address - results[k].ctypes.data) // results[k].itemsize
+            columns = np.arange(first, first + block.shape[1])
+            tiles[k][filled[k][columns] + np.arange(block.shape[0])[:, None], columns] = block
+            filled[k][columns] += block.shape[0]
+        assert all(np.all(f == couplings.size) for f in filled)
         return tiles
 
     @staticmethod
@@ -1116,6 +1120,60 @@ def test_chunks_match_separate_calls():
     parts = [_expectation_products(model, obs, c) for c in chunks]
     for k, result in enumerate(whole):
         assert np.array_equal(result, np.concatenate([p[k] for p in parts]))
+
+
+class TestPieceAndChunkSizes:
+    """Piece and chunk sizes set memory and speed only: no byte moves with them.
+
+    Each is patched to its smallest legal value (a piece or chunk of one run),
+    its default and a value above the number of times.  A point's factors
+    depend only on the run geometry and the fold partition, which neither
+    changes.
+    """
+
+    SIZES = [1, None, 10**6]
+
+    @staticmethod
+    def _outputs(model, obs, t):
+        w_up, w_down = engine._site_weights(model)
+        outputs = [overlap_r(model, t), expectation(model, obs, t), engine._product(w_up + w_down)]
+        if np.ndim(t) == 0:
+            outputs.append(reduced_system_state(model, t).matrix)
+        return outputs
+
+    @pytest.mark.parametrize("piece", SIZES)
+    @pytest.mark.parametrize("chunk", SIZES)
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.linspace(0.0, 3.0, 2000),
+            np.sort(np.random.default_rng(2).uniform(-3.0, 3.0, 300)),
+            0.7,
+        ],
+        ids=["even", "uneven", "scalar"],
+    )
+    def test_sizes_move_no_byte(self, monkeypatch, piece, chunk, t):
+        model, obs = sample_model(300, 8), sample_observable(300, 9)
+        expected = self._outputs(model, obs, t)
+        for name, size in (("_PIECE_ELEMENTS", piece), ("_CHUNK_TIMES", chunk)):
+            if size is not None:
+                monkeypatch.setattr(engine, name, size)
+        for got, want in zip(self._outputs(model, obs, t), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, zeros", [(5, 375), (0, 394)])
+    @pytest.mark.parametrize("piece, chunk", [(1, None), (None, 1), (10**6, 10**6)])
+    def test_sizes_move_no_byte_where_points_drop(self, monkeypatch, seed, zeros, piece, chunk):
+        # Out to t = 1 the rows of a 10^4-site bath fall to exactly 0 one by
+        # one: windows narrow from the end of the grid.
+        model = sample_model(10_000, seed)
+        times = np.linspace(0.0, 1.0, 2000)
+        expected = overlap_r(model, times)
+        assert np.count_nonzero(expected == 0) == zeros
+        for name, size in (("_PIECE_ELEMENTS", piece), ("_CHUNK_TIMES", chunk)):
+            if size is not None:
+                monkeypatch.setattr(engine, name, size)
+        assert np.array_equal(overlap_r(model, times), expected)
 
 
 EPS = sys.float_info.epsilon
