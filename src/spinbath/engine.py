@@ -230,24 +230,6 @@ def _live_window(exponents: list[np.ndarray], lo: int, hi: int) -> tuple[int, in
     return (int(live[0]), int(live[-1]) + 1) if live.size else (lo, lo)
 
 
-def _fine_tiles(coarse: np.ndarray, rights: list[np.ndarray], dtypes: list, store: np.ndarray):
-    """Each product's tile for one block, built in turn in the head of ``store``.
-
-    ``coarse`` holds every product's [a, P, Q] stack side by side, and each
-    right-hand matrix is that product's fine stage: a complex product's
-    block-diagonal pair turns its (re, im) pair of parts into interleaved
-    columns.  A tile is valid until the next one is built.
-    """
-    n, count, _ = coarse.shape
-    j = 0
-    for right, d in zip(rights, dtypes):
-        w = right.shape[1] // 3
-        out = store[: n * count * right.shape[2]].reshape(n, count, right.shape[2])
-        np.matmul(coarse[..., 3 * j : 3 * (j + w)], right, out=out)
-        j += w
-        yield out.view(d).reshape(n, -1)
-
-
 def _site_products(
     couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, coefficients
 ) -> list[np.ndarray]:
@@ -263,20 +245,20 @@ def _site_products(
 
     The loop is site-major within each chunk of _CHUNK_TIMES times.  Site
     blocks of ``rows`` sites (32 for 1024 or more times) are the outer loop: a
-    block's rotated coefficients and fine stage are built once, then its tiles
-    are built across the chunk's live window in pieces of whole runs, batched
-    over the block's sites, and folded one product at a time through one
-    shared tile buffer.  A complex product's parts meet a block-diagonal fine
-    stack and come out interleaved.  The angle stack has at least two rows:
-    BLAS multiplies a one-row matrix on a path that rounds apart.  Points at or
-    below _DROP in every product after a block are certainly 0, so later
-    blocks span only the live window.  A point's factors depend only on the
-    run geometry (runs of isqrt(min(T, _TILE_TIMES)) times from the first
-    time) and the fold partition, so chunk and piece sizes move no byte.
-    Buffers are allocated once per call, for a block's widest piece, and later
-    pieces and the last, shorter block take views of their heads.  Times whose
-    phase error, 4 ulp(max |t|) max |g|, is not below 1 radian raise
-    ValueError.
+    block's rotated coefficients and fine stage are built once, then one tile
+    loop sweeps the chunk's live window in pieces of whole runs, batched over
+    the block's sites.  Each piece takes one coarse-stage product for all
+    products ([1, cos, sin] times the scaled [a, b, c], the tile itself, where
+    beta = 0), then per product its fine-stage product on runs and its fold.
+    The angle stack has at least two rows: BLAS multiplies a one-row matrix on
+    a path that rounds apart.  Points at or below _DROP in every product after
+    a block are certainly 0, so later blocks span only the live window.  A
+    point's factors depend only on the run geometry (runs of
+    isqrt(min(T, _TILE_TIMES)) times from the first time) and the fold
+    partition, so chunk and piece sizes move no byte.  Buffers are allocated
+    once per call, for a block's widest piece, and later pieces and the last,
+    shorter block take views of their heads.  Times whose phase error,
+    4 ulp(max |t|) max |g|, is not below 1 radian raise ValueError.
     """
     span = float(np.abs([times.min(initial=0.0), times.max(initial=0.0)]).max())  # NaN if any t is
     blur = 4.0 * float(np.spacing(span)) * float(np.abs(couplings).max(initial=0.0))
@@ -300,17 +282,19 @@ def _site_products(
     rows = min(_TILE_SITES, _TILE_ELEMENTS // cols, couplings.size)
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
-    depth = parts if run == 1 else max(widths)  # doubles per site-time in the shared tile buffer
     piece = max(1, _PIECE_ELEMENTS // (rows * run)) * run
     chunk = max(1, _CHUNK_TIMES // run) * run
     # Runs in the widest piece; a lone run goes in twice.
     widest = max(2, -(-min(piece, chunk, times.size) // run))
+    # Each product's columns of the coarse stage: its factor where beta = 0, else its [a, P, Q].
+    per_part = 1 if run == 1 else 3
+    spans = [slice(per_part * j, per_part * (j + w)) for j, w in zip(starts, widths)]
     angle_store = np.empty(rows * 3 * widest)
-    tile_store = np.empty(rows * widest * run * depth)
+    coarse_store = np.empty(rows * widest * per_part * parts)
     if run > 1:
         offsets = np.arange(run) * step
         rotation = np.zeros((rows, 3, parts, 3))
-        coarse_store = np.empty(rows * widest * 3 * parts)
+        tile_store = np.empty(rows * widest * run * max(widths))
         # The fine stage keeps its cos and sin rows contiguous; BLAS gets transposed views.
         fine, pair = np.ones((3, rows, run)), np.zeros((rows, 2, 3, run, 2))
     results = [np.empty(times.size, d) for d in dtypes]
@@ -330,17 +314,20 @@ def _site_products(
             sites = slice(site, site + rows)
             g = couplings[sites, None]
             n = g.size
+            right = scaled[sites]  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
             if run > 1:
-                a, b, c = scaled[sites].transpose(1, 0, 2)
+                a, b, c = right.transpose(1, 0, 2)
                 rotation[:n, 0, :, 0], rotation[:n, 1, :, 1] = a, b
                 rotation[:n, 2, :, 1] = rotation[:n, 1, :, 2] = c
                 np.negative(b, out=rotation[:n, 2, :, 2])
+                right = rotation[:n].reshape(n, 3, -1)
                 beta = np.multiply(g, offsets, out=fine[1, :n])
                 np.sin(beta, out=fine[2, :n])
                 np.cos(beta, out=beta)
                 fine_stack = fine[:, :n].transpose(1, 0, 2)
                 pair[:n, 0, :, :, 0] = pair[:n, 1, :, :, 1] = fine_stack
-                rights = [(fine_stack, pair[:n].reshape(n, 6, -1))[w - 1] for w in widths]
+                # A complex product's block-diagonal pair turns its (re, im) parts into interleaved columns.
+                fines = [(fine_stack, pair[:n].reshape(n, 6, -1))[w - 1] for w in widths]
             for p in range(first, hi, piece):
                 stop = min(p + piece, hi)
                 origins = t[p:stop:run]
@@ -350,18 +337,15 @@ def _site_products(
                 alpha = np.multiply(g, origins, out=angles[1])
                 np.sin(alpha, out=angles[2])
                 np.cos(alpha, out=alpha)
-                stack = angles.transpose(1, 2, 0)
-                if run == 1:  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
-                    f = tile_store[: n * count * parts].reshape(n, count, parts)
-                    np.matmul(stack, scaled[sites], out=f)
-                    parts_of = zip(starts, widths, dtypes)
-                    tiles = (f[..., j : j + w].view(d)[..., 0] for j, w, d in parts_of)
-                else:
-                    coarse = coarse_store[: n * count * 3 * parts].reshape(n, count, 3 * parts)
-                    np.matmul(stack, rotation[:n].reshape(n, 3, -1), out=coarse)
-                    tiles = _fine_tiles(coarse, rights, dtypes, tile_store)
+                coarse = coarse_store[: n * count * right.shape[2]].reshape(n, count, -1)
+                np.matmul(angles.transpose(1, 2, 0), right, out=coarse)
                 begin = max(lo, p)
-                for mantissa, exponent, tile in zip(mantissas, running, tiles):
+                for i, (mantissa, exponent, d) in enumerate(zip(mantissas, running, dtypes)):
+                    tile = coarse[..., spans[i]]
+                    if run > 1:
+                        out = tile_store[: n * count * fines[i].shape[2]].reshape(n, count, -1)
+                        tile = np.matmul(tile, fines[i], out=out)
+                    tile = tile.view(d).reshape(n, -1)
                     _fold(mantissa[begin:stop], exponent[begin:stop], tile[:, begin - p : stop - p])
             lo, hi = _live_window(running, lo, hi)
         for mantissa, exponent in zip(mantissas, running):
