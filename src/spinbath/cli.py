@@ -242,7 +242,12 @@ def _cmd_simulate_obs(cfg: ExperimentConfig) -> tuple:
     model = _model(cfg)
     obs = parse_observable_spec(cfg.obs, model.n_sites)
     times = _time_grid(cfg, model)
-    values = expectation(model, obs, times)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by time
+        values = expectation(model, obs, times)
+    finite = np.isfinite(values)
+    if not finite.all():
+        t = times[np.argmin(finite)]
+        raise ValueError(f"the expectation value at t = {t:.17g} is not finite: it leaves the double range")
     return ("t", "value"), (times, values)
 
 

@@ -6,12 +6,13 @@ one 2x2 contraction per site.  This module evaluates those per-site factors
 and multiplies them with one separate-exponent product, ``_site_products``;
 every per-site product in the package goes through it, plain products of
 per-site numbers too (``_product``).  Callers pass each site's raw
-coefficients and a closed-form bound on its factors.  The kernel divides each
-site's coefficients by 2^e, the least power of two at or above that bound, so
-every factor has modulus at most 1 and the integer sum of the e is carried
-apart.  Factors are multiplied in site blocks into a running mantissa that is
-renormalized after every block, its power of two carried as an integer, so a
-product is a correctly scaled double however many sites it spans.  A
+coefficients and moduli whose sum bounds its factors.  The kernel divides
+each site's coefficients by 2^e, the least power of two at or above that sum
+(found without overflow, so e may exceed 1023), so every factor has modulus
+at most 1 and the integer sum of the e is carried apart.  Factors are
+multiplied in site blocks into a running mantissa that is renormalized after
+every block, its power of two carried as an integer, so a product is a
+correctly scaled double however many sites it spans.  A
 power-of-two scale is exact and a partial product within a block can only
 shrink, so a block product that stays above 2^-960 is exactly what
 multiplying frexp mantissas would give, whichever bound scaled it.  The few
@@ -39,7 +40,7 @@ the tile: two matrix products and 32 cos/sin pairs per site for 1024 times,
 plus the run's 32 fine pairs once per site and chunk.  The phase moves by at
 most about |g| 4 ulp(max |t|), the order of the rounding of g t itself.
 Other grids and scalar times take L = 1 and beta = 0, so f = a + P is
-[1, cos g t, sin g t] times [a, b, c]: one matrix product per site.
+[1, cos g t, sin g t] times [a, b, c]: the coarse stage alone is the tile.
 The products go through BLAS, so the bytes depend on its kernels (fused
 multiply-add or not) and numpy's SIMD level; values agree to a few ulp.
 
@@ -231,17 +232,18 @@ def _live_window(exponents: list[np.ndarray], lo: int, hi: int) -> tuple[int, in
 
 
 def _site_products(
-    couplings: np.ndarray, times: np.ndarray, bound: np.ndarray, coefficients
+    couplings: np.ndarray, times: np.ndarray, moduli: np.ndarray, coefficients
 ) -> list[np.ndarray]:
     """Products over all sites of a + b cos(g t) + c sin(g t), one per triple.
 
     ``coefficients`` holds one (a, b, c) triple per product, each a per-site
-    array or a scalar; a product is complex where any of them is.  ``bound``
-    bounds every factor of a site, whose coefficients are divided by the least
-    power of two at or above it.  Each running product keeps its mantissa in
-    the result array itself and an integer exponent per time point,
-    renormalized by ``_fold`` after every site block; the only rounding to the
-    double range is the final ldexp.
+    array or a scalar; a product is complex where any of them is.  ``moduli``
+    holds one or more rows of per-site moduli whose sum bounds every factor of
+    a site, whose coefficients are divided by the least power of two at or
+    above that sum, which may lie beyond the double range.  Each running
+    product keeps its mantissa in the result array itself and an integer
+    exponent per time point, renormalized by ``_fold`` after every site block;
+    the only rounding to the double range is the final ldexp.
 
     The loop is site-major within each chunk of _CHUNK_TIMES times.  Site
     blocks of ``rows`` sites (32 for 1024 or more times) are the outer loop: a
@@ -264,9 +266,13 @@ def _site_products(
     blur = 4.0 * float(np.spacing(span)) * float(np.abs(couplings).max(initial=0.0))
     if not blur < 1.0:  # a NaN or infinite time is refused too
         raise ValueError(f"times up to {span:.3g} leave the phases g t unresolved by {blur:.3g} rad")
-    fraction, powers = np.frexp(bound)
-    powers -= fraction == 0.5
-    del fraction  # an (N,) array that the loop below does not need
+    # Summed at the power of two of each site's largest modulus, the moduli
+    # cannot overflow, and they round as they would unscaled.
+    moduli = np.atleast_2d(moduli)
+    top = np.frexp(moduli.max(axis=0))[1]
+    fraction, powers = np.frexp(np.ldexp(moduli, -top).sum(axis=0))
+    powers += top - (fraction == 0.5)
+    del moduli, top, fraction  # (N,) arrays that the loop below does not need
     scale = int(powers.sum())
     widths = [1 + (np.result_type(*triple).kind == "c") for triple in coefficients]
     *starts, parts = itertools.accumulate([0, *widths])  # each product's first part, and all
@@ -372,14 +378,16 @@ def _expectation_products(
     static, up_minus_down = up + down, up - down
     cross = np.conj(model.alphas) * model.betas * obs.site_parts[:, 0, 1]
     cross_re, cross_im = 2.0 * cross.real, 2.0 * cross.imag
-    # The summed moduli bound the modulus of all three factors.
-    bound = sum(np.abs(c) for c in (static, cross_re, cross_im, up_minus_down))
     coefficients = (
         (static, cross_re, cross_im),
         (static, cross_re, -cross_im),
         (cross_re, static, 1j * up_minus_down),
     )
-    return _site_products(model.couplings, times, bound, coefficients)
+    # The summed moduli bound the modulus of all three factors.  Unnamed
+    # here, they are freed once the kernel has its powers of two.
+    return _site_products(
+        model.couplings, times, np.abs([static, cross_re, cross_im, up_minus_down]), coefficients
+    )
 
 
 def expectation(model: SpinBathModel, obs: RelevantObservable, t):

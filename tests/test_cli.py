@@ -663,6 +663,15 @@ class TestExitCodes:
         assert "below the smallest normal double" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_expectation_beyond_the_double_range_is_rejected(self, tmp_path, capsys):
+        # Every site part is finite, but gamma0(+t) alone leaves the double
+        # range from t = 71.5 on, so the combined value is inf or nan there.
+        args = ["simulate-obs", "--n", "3", "--points", "5", "--obs", "single-site:1:1.7e308,1.7e308,0,1.7e308"]
+        assert run_cli(args, tmp_path / "out") == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: the expectation value at t = 71.54588462648158 is not finite")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("points", ["2", "5"])
     def test_hold_window_shorter_than_the_grid_step_is_rejected(self, tmp_path, capsys, points):
         # 5 points over 100 / gbar are 25 / gbar apart, more than the 20 / gbar

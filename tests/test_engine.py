@@ -3,6 +3,7 @@
 import ast
 import cmath
 import dataclasses
+import importlib.util
 import math
 import re
 import sys
@@ -291,6 +292,39 @@ class TestOverlap:
         bound = 4 * n_sites * np.finfo(float).eps * np.abs(r) + 8 * 2.0**-1074
         assert np.all(np.abs(halves - r) <= bound)
         assert np.all(np.abs(reverse - r) <= bound)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_exact_relations_on_drawn_shapes(self, data):
+        # Reversal and the branch swap conjugate r bit for bit, and sigma_x on
+        # the probe is 2 Re(w r) on normal rows, at sizes, spans and grid
+        # lengths the fixed cases do not reach: lone last runs, T just above a
+        # multiple of the run, symmetric grids and scalar times.
+        n_sites = data.draw(st.integers(1, 3000), label="N")
+        model = sample_model(n_sites, data.draw(seed_strategy, label="seed"), *data.draw(
+            st.sampled_from([(), (0.6, 0.8j), (0.8, -0.6)]), label="probe"))
+        kind = data.draw(st.sampled_from(["even", "uneven", "scalar", "symmetric"]), label="grid")
+        points = data.draw(st.integers(2, max(2, min(10_000, 2 * 10**6 // n_sites))), label="T")
+        if data.draw(st.booleans(), label="lone last run"):
+            run = math.isqrt(min(points, _TILE_TIMES))
+            points = points - points % run + 1
+        t_max = data.draw(st.floats(1e-3, 300.0), label="span") / model.mean_coupling
+        times = {
+            "even": lambda: np.linspace(0.0, t_max, points),
+            "uneven": lambda: np.sort(np.random.default_rng(points).uniform(0.0, t_max, points)),
+            "scalar": lambda: t_max,
+            "symmetric": lambda: np.linspace(-t_max, t_max, points),
+        }[kind]()
+        swapped = dataclasses.replace(model, alphas=model.betas, betas=model.alphas)
+        r = overlap_r(model, times)
+        assert np.array_equal(overlap_r(model, -times), np.conj(r))
+        assert np.array_equal(overlap_r(swapped, times), np.conj(r))
+        w = 2.0 * model.a * np.conj(model.b)
+        expected = np.atleast_1d(r.real * w.real - r.imag * w.imag)
+        got = np.atleast_1d(expectation(model, eid_observable(0.0, 1.0, 0.0, n_sites), times))
+        normal = np.abs(expected) >= np.finfo(float).tiny
+        assert np.array_equal(got[normal], expected[normal])
+        assert np.all(np.abs(got[~normal] - expected[~normal]) <= 5e-324)
 
     @given(seed=seed_strategy, t=times_strategy)
     @settings(max_examples=40, deadline=None)
@@ -697,6 +731,52 @@ class TestScaleIndependence:
             if k == 60:
                 # Sixteen factors of modulus at most 2^-60 multiply below the floor.
                 assert fallback_points[0] > before
+
+
+class TestNearTheDoubleRange:
+    """Site parts whose moduli sum beyond the double range are still scaled by their bound."""
+
+    @staticmethod
+    def _observable(n_sites, last):
+        parts = [0.5 * IDENTITY_2] * (n_sites - 1) + [last * np.ones((2, 2))]
+        return make_observable(np.diag([1.0, 0.0]), parts)
+
+    def test_a_near_range_part_scales_the_expectation_linearly(self):
+        # The four moduli of the last part sum to inf, though each is finite;
+        # unscaled, its factors broke the fold's premise and every value came
+        # out exactly 0.  The value is linear in that part.
+        model, times = sample_model(2001, 0), np.linspace(0.0, 5.0, 5)
+        big = expectation(model, self._observable(2001, 1.7e308), times)
+        small = expectation(model, self._observable(2001, 1e307), times)
+        assert np.all(np.abs(small) > np.finfo(float).tiny)
+        np.testing.assert_allclose(big, 17.0 * small, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_folded_factor_has_modulus_at_most_one(self, monkeypatch, seed):
+        # The drop rule and _fold's floor both rest on it.
+        fold = engine._fold
+        largest = [0.0]
+
+        def checking_fold(mantissa, exponent, block):
+            largest[0] = max(largest[0], float(np.abs(block).max(initial=0.0)))
+            fold(mantissa, exponent, block)
+
+        monkeypatch.setattr(engine, "_fold", checking_fold)
+        rng = np.random.default_rng(seed)
+        n_sites = int(rng.integers(1, 200))
+        model, obs = sample_model(n_sites, seed), sample_observable(n_sites, seed + 1)
+        huge = obs.site_parts.copy()
+        rows = rng.choice(n_sites, max(1, n_sites // 10), replace=False)
+        huge[rows] /= np.abs(huge[rows]).max(axis=(1, 2))[:, None, None]
+        huge[rows] *= 1.7e308  # largest entry modulus
+        near_range = make_observable(obs.system_part, huge)
+        times = [np.linspace(0.0, 100.0 / model.mean_coupling, 700), np.sort(rng.uniform(-5, 5, 50)), 0.3]
+        for t in times:
+            overlap_r(model, t)
+            with np.errstate(over="ignore", invalid="ignore"):  # products beyond the double range
+                for o in (obs, near_range):
+                    expectation(model, o, t)
+        assert 0.0 < largest[0] <= 1.0 + 8 * EPS
 
 
 class TestProduct:
@@ -1291,3 +1371,19 @@ def test_eid_expectation_at_time_zero_closed_form():
         + 2.0 * np.real(model.a * np.conj(model.b) * np.conj(s01))
     )
     assert expectation(model, obs, 0.0) == pytest.approx(closed, abs=1e-12)
+
+
+def test_the_engine_digest_repeats_its_smallest_cases(monkeypatch):
+    # tests/engine_digest.py compares the kernel's bytes across checkouts, so
+    # each line must depend on the case alone.
+    path = Path(__file__).with_name("engine_digest.py")
+    spec = importlib.util.spec_from_file_location("engine_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, digest)  # its dataclass looks itself up there
+    spec.loader.exec_module(digest)
+    cases = digest.cases()
+    assert len({case.name for case in cases}) == len(cases)
+    smallest = sorted(cases, key=lambda case: case.cost)[:3]
+    lines = [digest.digest(case) for case in smallest]
+    assert [digest.digest(case) for case in smallest] == lines
+    assert all(len(line.split()) == 4 for line in lines)
