@@ -247,7 +247,7 @@ def _cmd_simulate_obs(cfg: ExperimentConfig) -> tuple:
     finite = np.isfinite(values)
     if not finite.all():
         t = times[np.argmin(finite)]
-        raise ValueError(f"the expectation value at t = {t:.17g} is not finite: it leaves the double range")
+        raise ValueError(f"the expectation value at t = {t:.17g} is not finite: beyond the double range")
     return ("t", "value"), (times, values)
 
 

@@ -332,7 +332,7 @@ def _site_products(
                 np.cos(beta, out=beta)
                 fine_stack = fine[:, :n].transpose(1, 0, 2)
                 pair[:n, 0, :, :, 0] = pair[:n, 1, :, :, 1] = fine_stack
-                # A complex product's block-diagonal pair turns its (re, im) parts into interleaved columns.
+                # A complex product's block-diagonal pair interleaves its (re, im) parts.
                 fines = [(fine_stack, pair[:n].reshape(n, 6, -1))[w - 1] for w in widths]
             for p in range(first, hi, piece):
                 stop = min(p + piece, hi)

@@ -98,7 +98,8 @@ def cases() -> list[Case]:
         model, obs = sample_model(n, 11), sample_observable(n, 12)
         t = np.linspace(0.0, 100.0 / model.mean_coupling, 2000)
         for k in range(3):
-            add(f"_expectation_products[{k}]/N={n}/even2000", n * 2000, _expectation_product, model, obs, t, k)
+            name = f"_expectation_products[{k}]/N={n}/even2000"
+            add(name, n * 2000, _expectation_product, model, obs, t, k)
     # Chunk and piece edges, lone last runs and long grids.
     model, obs = sample_model(100, 7), sample_observable(100, 8)
     for size in (1023, 1024, 1025, 4096, 4097, 5000, 8193):
@@ -109,8 +110,11 @@ def cases() -> list[Case]:
         engine.overlap_r, sample_model(10**4, 0), np.linspace(0.0, 1.0, 8193))
     # The split fallback: near-balanced factors.
     model, obs = _near_balanced_model(), sample_observable(1000, 7)
-    grids = {"even9": np.linspace(1.0, 1.2, 9), "uneven4": np.array([1.0, 1.03, 1.1, 1.2]), "scalar": 1.1}
-    for grid, t in grids.items():
+    for grid, t in {
+        "even9": np.linspace(1.0, 1.2, 9),
+        "uneven4": np.array([1.0, 1.03, 1.1, 1.2]),
+        "scalar": 1.1,
+    }.items():
         add(f"near_balanced/overlap_r/{grid}", 1000 * np.size(t), engine.overlap_r, model, t)
         for k in range(3):
             add(f"near_balanced/_expectation_products[{k}]/{grid}", 1000 * np.size(t),
@@ -123,7 +127,8 @@ def cases() -> list[Case]:
     model = sample_model(2001, 0)
     for scale in (1e307, 1.7e308):
         obs = _near_range_observable(2001, scale * np.ones((2, 2)))
-        add(f"near_range/expectation/{scale:g}", 2001 * 5, engine.expectation, model, obs, np.linspace(0.0, 5.0, 5))
+        t = np.linspace(0.0, 5.0, 5)
+        add(f"near_range/expectation/{scale:g}", 2001 * 5, engine.expectation, model, obs, t)
     return out
 
 

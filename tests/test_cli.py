@@ -666,7 +666,8 @@ class TestExitCodes:
     def test_expectation_beyond_the_double_range_is_rejected(self, tmp_path, capsys):
         # Every site part is finite, but gamma0(+t) alone leaves the double
         # range from t = 71.5 on, so the combined value is inf or nan there.
-        args = ["simulate-obs", "--n", "3", "--points", "5", "--obs", "single-site:1:1.7e308,1.7e308,0,1.7e308"]
+        obs = "single-site:1:1.7e308,1.7e308,0,1.7e308"
+        args = ["simulate-obs", "--n", "3", "--points", "5", "--obs", obs]
         assert run_cli(args, tmp_path / "out") == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: the expectation value at t = 71.54588462648158 is not finite")

@@ -770,8 +770,8 @@ class TestNearTheDoubleRange:
         huge[rows] /= np.abs(huge[rows]).max(axis=(1, 2))[:, None, None]
         huge[rows] *= 1.7e308  # largest entry modulus
         near_range = make_observable(obs.system_part, huge)
-        times = [np.linspace(0.0, 100.0 / model.mean_coupling, 700), np.sort(rng.uniform(-5, 5, 50)), 0.3]
-        for t in times:
+        even = np.linspace(0.0, 100.0 / model.mean_coupling, 700)
+        for t in (even, np.sort(rng.uniform(-5.0, 5.0, 50)), 0.3):
             overlap_r(model, t)
             with np.errstate(over="ignore", invalid="ignore"):  # products beyond the double range
                 for o in (obs, near_range):
