@@ -29,6 +29,18 @@ NEVER = math.inf
 # the base frequency.
 COMMENSURATE_RTOL = 1e-9
 
+# fluctuation_stats' quadrature.  At a quarter of a 16-node panel (4 nodes)
+# per period of |r|^2's top frequency the coarser rule is good to about 1e-12
+# relative and the finer one to rounding: the two differ by at most 1.2e-12 at
+# N = 1-8 (seed 0), N = 20 (seeds 0-4) and N = 50.  The budget bounds the
+# finer rule's arrays (about 32 bytes a node) and its kernel work: 5.6 s for
+# N = 280 on the default window, 1.0e8 site-nodes, on a shared 2-core x86-64.
+_GAUSS_NODES = 16
+_PANELS_PER_PERIOD = 0.25
+_RULE_RTOL = 1e-9
+_MAX_NODES = 2**22
+_MAX_SITE_NODES = 10**8
+
 
 @dataclass(frozen=True)
 class DecoherenceVerdict(_Checked):
@@ -147,45 +159,40 @@ def r_trajectory(model: SpinBathModel, t_max: float, points: int) -> Trajectory:
     return Trajectory(times=times, values=overlap_r(model, times))
 
 
-def predicted_rel_stderr(model: SpinBathModel, samples: int) -> float:
-    """Relative standard error sqrt(V / samples) of a mean of |r|^2 at random times.
+def predicted_rel_variance(model: SpinBathModel) -> float:
+    """Closed-form relative temporal variance V of |r|^2 about its long-time mean.
 
     Site i contributes |f_i|^2 = a_i + b_i cos(2 g_i t), with
     a_i = |alpha_i|^4 + |beta_i|^4 and b_i = 2 |alpha_i|^2 |beta_i|^2.  For
     incommensurate couplings the cosines at a random late time are
-    independent, so one sample of |r|^2 has relative variance
+    independent, so |r|^2 there has relative variance
     V = prod_i (1 + b_i^2 / (2 a_i^2)) - 1, summed as log1p terms; inf where
     it overflows.
     """
     w_up, w_down = _site_weights(model)
     ratio = 2.0 * (w_up * w_down / (w_up**2 + w_down**2)) ** 2  # b^2 / (2 a^2)
     with np.errstate(over="ignore"):
-        variance = np.expm1(np.log1p(ratio).sum())
-    return float(np.sqrt(variance / samples))
+        return float(np.expm1(np.log1p(ratio).sum()))
 
 
-def fluctuation_stats(
-    model: SpinBathModel,
-    t_window: tuple[float, float],
-    samples: int = 400,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Late-time average of |r|^2 against its closed-form prediction.
+def fluctuation_stats(model: SpinBathModel, t_window: tuple[float, float]) -> tuple[float, float, int]:
+    """Window mean of |r|^2 against its closed-form long-time mean.
 
-    Draws uniform random times in the window and averages |r(t)|^2.  The
-    prediction is prod_i (|alpha_i|^4 + |beta_i|^4): each site factor of
-    |r|^2 oscillates around that value, and the cosines average out for
-    incommensurate couplings (commensurate models belong in recurrence_check
-    instead).  Returns (measured mean, prediction).  Raises ValueError when
-    the prediction is below the smallest normal double, where neither number
-    nor their ratio means anything, and then when ``predicted_rel_stderr``
-    exceeds 1, where the samples cannot resolve the mean.
+    |r(t)|^2 is a trigonometric polynomial with frequencies in [-2G, 2G],
+    G = sum_i g_i, so composite 16-node Gauss-Legendre panels, about
+    _PANELS_PER_PERIOD of them per period of 2G, give its window mean to
+    rounding; a rule with twice the panels checks it and is returned.  The
+    long-time mean prod_i (|alpha_i|^4 + |beta_i|^4) holds for incommensurate
+    couplings (commensurate models belong in recurrence_check).  Returns
+    (window mean, long-time mean, nodes of the finer rule).  Raises
+    ValueError, in this order, when the long-time mean is below the smallest
+    normal double, where no ratio means anything; when the finer rule needs
+    more than _MAX_NODES nodes or _MAX_SITE_NODES site-nodes; and when the
+    two rules differ by more than _RULE_RTOL relative.
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("time window is degenerate")
-    if samples < 100:
-        raise ValueError("need at least 100 time samples")
     w_up, w_down = _site_weights(model)
     predicted_r2 = _product(w_up**2 + w_down**2)
     if predicted_r2 < np.finfo(float).tiny:
@@ -193,17 +200,32 @@ def fluctuation_stats(
             f"predicted late-time |r|^2 = {predicted_r2!r} is below the smallest "
             f"normal double; use fewer sites"
         )
-    rel_stderr = predicted_rel_stderr(model, samples)
-    if rel_stderr > 1.0:
+    # The coarser rule's panels over the window's (t1 - t0) G / pi periods of
+    # 2G; inf where the window is beyond any budget.
+    panels = max(1.0, _PANELS_PER_PERIOD * float(model.couplings.sum()) * (t1 - t0) / math.pi)
+    nodes = 2 * _GAUSS_NODES * panels
+    if nodes > _MAX_NODES or model.n_sites * nodes > _MAX_SITE_NODES:
         raise ValueError(
-            f"{samples} samples leave the late-time mean of |r|^2 a predicted relative "
-            f"standard error of {rel_stderr:.3g}; about {rel_stderr**2 * samples:.3g} "
-            f"samples bring it to 1, or use fewer sites"
+            f"the window mean of |r|^2 needs {nodes:.3g} quadrature nodes, {model.n_sites * nodes:.3g} "
+            f"site-nodes; the budget is {_MAX_NODES} nodes and {_MAX_SITE_NODES:.3g} site-nodes: "
+            f"shorten the window or use fewer sites"
         )
-    gen = np.random.default_rng(seed)
-    ts = gen.uniform(t0, t1, samples)
-    mean_r2 = float(np.mean(np.abs(overlap_r(model, ts)) ** 2))
-    return mean_r2, predicted_r2
+    from numpy.polynomial.legendre import leggauss  # only fluctuation pays its import
+
+    x, w = leggauss(_GAUSS_NODES)
+    means = []
+    for count in (math.ceil(panels), 2 * math.ceil(panels)):
+        half = 0.5 * (t1 - t0) / count
+        times = ((t0 + half * np.arange(1, 2 * count, 2))[:, None] + half * x).ravel()
+        # Each panel's weights sum to 2, and the panels are of equal width.
+        means.append(float((np.abs(overlap_r(model, times)).reshape(count, -1) ** 2 @ w).mean()) / 2)
+    coarse, fine = means
+    if not abs(fine - coarse) <= _RULE_RTOL * fine:
+        raise ValueError(
+            f"the window mean of |r|^2 is {fine!r} on {times.size} nodes and {coarse!r} on half "
+            f"as many: unresolved beyond {_RULE_RTOL:g} relative"
+        )
+    return fine, predicted_r2, times.size
 
 
 def recurrence_check(model: SpinBathModel, t_rec: float) -> float:

@@ -37,7 +37,7 @@ COMMANDS = {
     "oracle-check": _MODEL_FIELDS + ("trials", "tol", "site_cap"),
     "recurrence": ("n", "seed", "g_base"),
     "timescale": ("v1_ev", "v2_ev"),
-    "fluctuation": ("n", "seed", "samples", "t0", "t1"),
+    "fluctuation": ("n", "seed", "t0", "t1"),
 }
 
 
@@ -66,7 +66,8 @@ class ExperimentConfig(_Checked):
     ``command`` must keep its default, so a config cannot set a knob its run
     ignores.  Fields that default to None are derived from the model's mean
     coupling gbar at run time: t_max becomes 100/gbar, window 20/gbar, and the
-    averaging interval (t0, t1) becomes (50/gbar, 550/gbar).
+    window (t0, t1) that fluctuation integrates |r|^2 over becomes
+    (50/gbar, 550/gbar).
     """
 
     command: str
@@ -88,7 +89,6 @@ class ExperimentConfig(_Checked):
     trials: int = 20
     tol: float = 1e-10
     n_seeds: int = 5
-    samples: int = 400
     t0: float | None = None
     t1: float | None = None
     site_cap: int = DEFAULT_SITE_CAP
@@ -130,8 +130,6 @@ class ExperimentConfig(_Checked):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.trials < 1 or self.n_seeds < 1 or self.site_cap < 1:
             raise ValueError("trials, n_seeds and site_cap must be positive")
-        if self.samples < 100:
-            raise ValueError("need at least 100 averaging samples")
 
     def to_dict(self) -> dict[str, Any]:
         return {**asdict(self), "n_list": list(self.n_list)}

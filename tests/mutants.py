@@ -1,0 +1,161 @@
+"""Mutation check: each mutant breaks the package a little, and a test must notice.
+
+    PYTHONPATH=src python tests/mutants.py [--only NAME]
+
+A mutant replaces one text in one source file by another.  The text must
+occur exactly once in that file, which ``tests/test_project.py`` checks, so
+a refactor that moves it has to update the mutant here instead of silently
+disarming it.  For each mutant the script copies ``src/``, ``tests/``,
+``configs/`` and ``pyproject.toml`` to a temporary directory, applies the
+mutant there and runs ``SELECTION`` with ``pytest -x``.  It prints KILLED
+with the first failing test, or SURVIVED, and the time taken; the exit
+status is 1 if any mutant survived.  A surviving mutant is either a gap in
+the tests or an equivalent change, which is then listed here with the reason.
+The full run takes several minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "configs", "pyproject.toml")
+
+# The tests that referee the engine and the statistics built on it.
+SELECTION = (
+    "tests/test_engine.py",
+    "tests/test_analysis.py",
+    "tests/test_golden.py",
+    "tests/test_acceptance.py",
+    "tests/test_oracle.py",
+    "tests/test_cli.py",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+
+
+ENGINE = "src/spinbath/engine.py"
+ANALYSIS = "src/spinbath/analysis.py"
+
+MUTANTS = (
+    Mutant(
+        "expectation-scaled",
+        ENGINE,
+        "    return float(out[0]) if scalar else out",
+        "    out *= 1 + 1e-9\n    return float(out[0]) if scalar else out",
+    ),
+    Mutant(
+        "overlap-scaled",
+        ENGINE,
+        "    return complex(out[0]) if scalar else out",
+        "    out = out * (1 + 1e-9)\n    return complex(out[0]) if scalar else out",
+    ),
+    Mutant("drop-at-1070", ENGINE, "_DROP = -1077", "_DROP = -1070"),
+    Mutant("floor-at-zero", ENGINE, "_FLOOR = 2.0**-960", "_FLOOR = 0.0"),
+    Mutant(
+        "fine-offsets-scaled",
+        ENGINE,
+        "offsets = np.arange(run) * step",
+        "offsets = np.arange(run) * step * (1 + 1e-12)",
+    ),
+    Mutant(
+        "no-norm-division",
+        ENGINE,
+        "r = complex(r[0]) / float(norm[0])",
+        "r = complex(r[0])",
+    ),
+    Mutant(
+        "bounds-abs-not-square",
+        ENGINE,
+        "_product((2.0 * w_up - 1.0) ** 2)",
+        "_product(np.abs(2.0 * w_up - 1.0))",
+    ),
+    Mutant(
+        "live-window-ge",
+        ENGINE,
+        "np.any([e[lo:hi] > _DROP",
+        "np.any([e[lo:hi] >= _DROP",
+    ),
+    Mutant(
+        "even-step-slack-200-ulp",
+        ENGINE,
+        "slack = 2.0 * np.spacing(",
+        "slack = 200.0 * np.spacing(",
+    ),
+    Mutant("quadrature-coarser-rule", ANALYSIS, "coarse, fine = means", "fine, coarse = means"),
+    Mutant("quadrature-tolerance-1", ANALYSIS, "_RULE_RTOL = 1e-9", "_RULE_RTOL = 1.0"),
+    Mutant(
+        "quadrature-half-width-doubled",
+        ANALYSIS,
+        "half = 0.5 * (t1 - t0) / count",
+        "half = (t1 - t0) / count",
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Replace the mutant's text in its file under ``root``; it must occur exactly once."""
+    path = root / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def first_failure(output: str) -> str:
+    """The first test pytest's short summary names as failed, or the output's last line."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    lines = output.strip().splitlines()
+    return lines[-1] if lines else "(no output)"
+
+
+def run(mutant: Mutant) -> bool:
+    """Run the selection against one mutant; True if a test failed."""
+    with tempfile.TemporaryDirectory(prefix="spinbath-mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, root / name)
+        apply(mutant, root)
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *SELECTION]
+        started = time.monotonic()
+        proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+        elapsed = time.monotonic() - started
+    killed = proc.returncode != 0
+    detail = first_failure(proc.stdout) if killed else f"{len(SELECTION)} test files passed"
+    print(f"{'KILLED' if killed else 'SURVIVED':8}  {mutant.name:30}  {elapsed:6.1f} s  {detail}", flush=True)
+    return killed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", choices=[m.name for m in MUTANTS], help="run one mutant")
+    args = parser.parse_args(argv)
+    mutants = [m for m in MUTANTS if args.only in (None, m.name)]
+    killed = sum(run(m) for m in mutants)
+    print(f"{killed} of {len(mutants)} mutants killed")
+    return 0 if killed == len(mutants) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

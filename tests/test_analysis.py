@@ -1,14 +1,17 @@
 """Verdict logic, long-time statistics, recurrences and timescale arithmetic."""
 
 import dataclasses
+import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath import analysis
 from spinbath.analysis import (
     HBAR_EV_S,
     NEVER,
@@ -18,12 +21,12 @@ from spinbath.analysis import (
     decoherence_time,
     fluctuation_stats,
     n_scaling_sweep,
-    predicted_rel_stderr,
+    predicted_rel_variance,
     r_trajectory,
     recurrence_check,
     timescale_estimate,
 )
-from spinbath.engine import expectation, overlap_r
+from spinbath.engine import _site_weights, expectation, overlap_r
 from spinbath.ensemble import commensurate_model, sample_model
 from spinbath.model import SpinBathModel, Trajectory, eid_observable, make_model
 
@@ -165,86 +168,124 @@ class TestRTrajectory:
             r_trajectory(model, -5.0, 100)
 
 
+def exact_window_mean(model, t0, t1):
+    """Mean of |r|^2 over [t0, t1] from its 3^N-term expansion, in 40 digits.
+
+    Site factor |f_i|^2 = a_i + (b_i / 2) (e^(2i g_i t) + e^(-2i g_i t)), so
+    every term is a coefficient times e^(i w t), whose window mean is
+    (sin w t1 - sin w t0) / (w (t1 - t0)) in its real part; the imaginary
+    parts cancel in pairs.
+    """
+    with mpmath.workdps(40):
+        t0, t1 = mpmath.mpf(t0), mpmath.mpf(t1)
+        sites = [
+            (mpmath.mpf(u) ** 2 + mpmath.mpf(d) ** 2, mpmath.mpf(u) * mpmath.mpf(d), mpmath.mpf(g))
+            for u, d, g in zip(*_site_weights(model), model.couplings)
+        ]
+        total = mpmath.mpf(0)
+        for choice in itertools.product((0, 1, -1), repeat=len(sites)):
+            coef, omega = mpmath.mpf(1), mpmath.mpf(0)
+            for c, (a, half_b, g) in zip(choice, sites):
+                coef *= half_b if c else a
+                omega += 2 * c * g
+            if omega:
+                coef *= (mpmath.sin(omega * t1) - mpmath.sin(omega * t0)) / (omega * (t1 - t0))
+            total += coef
+        return float(total)
+
+
 class TestFluctuationStats:
     def test_degenerate_bath_is_exactly_one(self):
         model = make_model(INV, INV, [(1.0, 0.0, 1.0)])
-        mean_r2, predicted = fluctuation_stats(model, (10.0, 20.0), samples=200, seed=1)
+        mean_r2, predicted, _ = fluctuation_stats(model, (10.0, 20.0))
         assert mean_r2 == pytest.approx(1.0, abs=1e-12)
         assert predicted == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_single_site_averages_to_half(self):
         model = make_model(INV, INV, [(0.5 + 0.5j, 0.5 - 0.5j, 1.0)])
         window = (0.0, 2.0 * math.pi * 40)
-        mean_r2, predicted = fluctuation_stats(model, window, samples=4000, seed=2)
+        mean_r2, predicted, _ = fluctuation_stats(model, window)
         assert predicted == pytest.approx(0.5, abs=1e-12)
-        assert mean_r2 == pytest.approx(0.5, abs=0.02)
+        assert mean_r2 == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites", range(1, 9))
+    @pytest.mark.parametrize("window", [(50.0, 550.0), (3.7, 11.3)], ids=["default", "short"])
+    def test_window_mean_matches_the_exact_expansion(self, n_sites, window):
+        # The window in units of 1/gbar: the default one, and one a few
+        # periods long that is no whole number of them.  The coarser rule is
+        # 1.1e-12 off at N = 1 on the default window; the finer one is
+        # within 5e-15 everywhere here.
+        model = sample_model(n_sites, 0)
+        t0, t1 = (w / model.mean_coupling for w in window)
+        mean_r2, _, _ = fluctuation_stats(model, (t0, t1))
+        assert mean_r2 == pytest.approx(exact_window_mean(model, t0, t1), rel=1e-13)
 
     def test_seeded_bath_within_factor_two(self):
         model = sample_model(20, 0)
         gbar = model.mean_coupling
-        mean_r2, predicted = fluctuation_stats(
-            model, (50.0 / gbar, 550.0 / gbar), samples=400, seed=777
-        )
+        mean_r2, predicted, _ = fluctuation_stats(model, (50.0 / gbar, 550.0 / gbar))
         assert 0.5 <= mean_r2 / predicted <= 2.0
 
     def test_degenerate_window_rejected(self):
         model = sample_model(3, 0)
         with pytest.raises(ValueError, match="degenerate"):
-            fluctuation_stats(model, (5.0, 5.0), samples=200)
+            fluctuation_stats(model, (5.0, 5.0))
 
     def test_prediction_below_normal_range_is_rejected(self):
         with pytest.raises(ValueError, match="smallest normal"):
             fluctuation_stats(sample_model(2000, 0), (50.0, 550.0))
 
-    def test_minimum_samples(self):
-        model = sample_model(3, 0)
-        with pytest.raises(ValueError, match="samples"):
-            fluctuation_stats(model, (5.0, 10.0), samples=50)
+    @pytest.mark.parametrize(
+        "n_sites, window, needed",
+        [(1000, None, "1.27e+06 quadrature nodes, 1.27e+09 site-nodes"), (5, (1e300, 1.5e300), "3.09e+300")],
+        ids=["n1000", "t1e300"],
+    )
+    def test_window_beyond_the_budget_is_refused_before_any_overlap(
+        self, monkeypatch, n_sites, window, needed
+    ):
+        model = sample_model(n_sites, 0)
+        gbar = model.mean_coupling
+        monkeypatch.setattr(analysis, "overlap_r", None)  # any call raises TypeError
+        with pytest.raises(ValueError, match=f"needs {re.escape(needed)}.*budget"):
+            fluctuation_stats(model, window or (50.0 / gbar, 550.0 / gbar))
+
+    def test_rules_that_disagree_are_refused(self, monkeypatch):
+        # At one node per period neither rule resolves |r|^2; the two differ
+        # by far more than the tolerance but less than the mean itself.
+        monkeypatch.setattr(analysis, "_PANELS_PER_PERIOD", 1 / 16)
+        with pytest.raises(ValueError, match="unresolved beyond 1e-09 relative"):
+            fluctuation_stats(sample_model(5, 0), (10.0, 110.0))
 
     @pytest.mark.parametrize("n_sites, samples, rel", [(5, 100_000, 0.03), (20, 400_000, 0.2)])
     def test_predicted_variance_matches_monte_carlo(self, n_sites, samples, rel):
-        # V = samples * stderr^2 is the relative variance of one |r|^2 sample
-        # at a random time; the window is long enough for the incommensurate
-        # cosines to decorrelate (seed 0: V = 1.585 at N = 5, 19.6 at N = 20).
+        # V is the relative variance of |r|^2 at a random time; the window is
+        # long enough for the incommensurate cosines to decorrelate (seed 0:
+        # V = 1.585 at N = 5, 19.6 at N = 20).
         model = sample_model(n_sites, 0)
         r2 = np.abs(overlap_r(model, np.random.default_rng(1).uniform(0.0, 1e7, samples))) ** 2
         predicted = np.prod(np.abs(model.alphas) ** 4 + np.abs(model.betas) ** 4)
-        assert r2.var() / predicted**2 == pytest.approx(
-            samples * predicted_rel_stderr(model, samples) ** 2, rel=rel
-        )
+        assert r2.var() / predicted**2 == pytest.approx(predicted_rel_variance(model), rel=rel)
 
     @pytest.mark.parametrize(
-        "n_sites, expected", [(5, 0.063), (20, 0.221), (50, 4.92), (100, 550.0), (1000, 1.35e37)]
+        "n_sites, expected", [(5, 1.585), (20, 19.60), (50, 9685.0), (100, 1.209e8), (1000, 7.270e76)]
     )
-    def test_predicted_rel_stderr_at_400_samples(self, n_sites, expected):
-        assert predicted_rel_stderr(sample_model(n_sites, 0), 400) == pytest.approx(expected, rel=5e-3)
+    def test_predicted_rel_variance_values(self, n_sites, expected):
+        assert predicted_rel_variance(sample_model(n_sites, 0)) == pytest.approx(expected, rel=1e-3)
 
-    def test_subnormal_prediction_is_refused_before_the_stderr(self):
+    def test_subnormal_prediction_is_refused_first(self):
         # 72000 sites with b_i = 0.01 predict |r|^2 = 0.99^72000 ~ e^-724, a
-        # subnormal double, at a standard error the stderr check would pass.
+        # subnormal double, at a moderate V; the budget would refuse them too.
         w_up = (1.0 - math.sqrt(1.0 - 0.02)) / 2.0
         n = 72_000
         alphas, betas = np.full(n, math.sqrt(w_up)), np.full(n, math.sqrt(1.0 - w_up))
         model = SpinBathModel(INV, INV, alphas, betas, np.ones(n))
-        assert predicted_rel_stderr(model, 400) == pytest.approx(0.31, abs=0.01)
+        assert predicted_rel_variance(model) == pytest.approx(38.4, rel=1e-2)
         with pytest.raises(ValueError, match="smallest normal"):
             fluctuation_stats(model, (50.0, 550.0))
 
-    def test_stderr_overflows_to_inf(self):
+    def test_variance_overflows_to_inf(self):
         balanced = make_model(INV, INV, [(INV, INV, 1.0 + k / 7) for k in range(2000)])
-        assert predicted_rel_stderr(balanced, 400) == math.inf
-
-    @pytest.mark.parametrize("n_sites, needed", [(50, "9.69e+03"), (1000, "7.27e+76")])
-    def test_unresolvable_mean_is_rejected(self, n_sites, needed):
-        model = sample_model(n_sites, 0)
-        with pytest.raises(ValueError, match=f"standard error of .*; about {re.escape(needed)} samples"):
-            fluctuation_stats(model, (50.0, 550.0))
-
-    def test_enough_samples_resolve_the_mean(self):
-        # The N = 50 message names 9.69e3 samples; 10^4 bring the error below 1.
-        model = sample_model(50, 0)
-        assert predicted_rel_stderr(model, 10_000) < 1.0
-        fluctuation_stats(model, (50.0, 550.0), samples=10_000)
+        assert predicted_rel_variance(balanced) == math.inf
 
 
 class TestRecurrence:

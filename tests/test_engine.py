@@ -1339,6 +1339,13 @@ class TestEvenGridRotation:
         uneven[100] += 1e-6
         assert _even_step(times) is not None
         assert _even_step(uneven) is None
+        # 3 ulp(max |t|) off the grid is beyond the 2-ulp slack; a wider slack
+        # would rotate such a point by the fine angle of a point it is not at.
+        for points in (400, 1001, 2000):
+            for ulps in (3, -3, 50, -50):
+                moved = np.linspace(0.0, 1e4, points)
+                moved[points // 3] += ulps * np.spacing(1e4)
+                assert _even_step(moved) is None, (points, ulps)
         # One tile, so the engine multiplies sites in the reference's order.
         assert times.size <= _TILE_TIMES and model.n_sites * times.size <= _TILE_ELEMENTS
         r = overlap_r(model, uneven)

@@ -1,6 +1,7 @@
 """Checks on the project's files: declared dependencies and unread names in src/."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -141,3 +142,17 @@ def test_checked_types_store_through_one_base():
         assert "__setattr__" not in attributes, name
         if name != "model.py":
             assert not attributes & {"setflags", "__dict__"}, name
+
+
+def test_every_mutant_text_occurs_once_in_src(monkeypatch):
+    # tests/mutants.py applies each mutant by text, so a refactor that moves
+    # the text must update the mutant rather than silently disarm it.
+    path = ROOT / "tests" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mutants)  # its dataclass looks itself up there
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        assert mutant.path.startswith("src/spinbath/"), mutant.name
+        assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
