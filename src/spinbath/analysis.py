@@ -33,13 +33,17 @@ COMMENSURATE_RTOL = 1e-9
 # per period of |r|^2's top frequency the coarser rule is good to about 1e-12
 # relative and the finer one to rounding: the two differ by at most 1.2e-12 at
 # N = 1-8 (seed 0), N = 20 (seeds 0-4) and N = 50.  The budget bounds the
-# finer rule's arrays (about 32 bytes a node) and its kernel work: 5.6 s for
-# N = 280 on the default window, 1.0e8 site-nodes, on a shared 2-core x86-64.
+# finer rule's per-panel sums and its kernel work: 5.6 s for N = 280 on the
+# default window, 1.0e8 site-nodes, on a shared 2-core x86-64.  Each
+# overlap_r call takes a block of _BLOCK_PANELS to 2 _BLOCK_PANELS - 1 whole
+# panels, at least the kernel's 1024-time tile width, so the kernel's site
+# blocks, and every |r| byte, do not depend on where a block starts.
 _GAUSS_NODES = 16
 _PANELS_PER_PERIOD = 0.25
 _RULE_RTOL = 1e-9
 _MAX_NODES = 2**22
 _MAX_SITE_NODES = 10**8
+_BLOCK_PANELS = 256
 
 
 @dataclass(frozen=True)
@@ -216,16 +220,23 @@ def fluctuation_stats(model: SpinBathModel, t_window: tuple[float, float]) -> tu
     means = []
     for count in (math.ceil(panels), 2 * math.ceil(panels)):
         half = 0.5 * (t1 - t0) / count
-        times = ((t0 + half * np.arange(1, 2 * count, 2))[:, None] + half * x).ravel()
+        centres = t0 + half * np.arange(1, 2 * count, 2)
+        blocks = max(1, count // _BLOCK_PANELS)
+        edges = [count * k // blocks for k in range(blocks + 1)]
+        sums = np.empty(count)  # each panel's Gauss sum of |r|^2
+        for a, b in zip(edges, edges[1:]):
+            times = (centres[a:b, None] + half * x).ravel()
+            sums[a:b] = np.abs(overlap_r(model, times)).reshape(b - a, -1) ** 2 @ w
         # Each panel's weights sum to 2, and the panels are of equal width.
-        means.append(float((np.abs(overlap_r(model, times)).reshape(count, -1) ** 2 @ w).mean()) / 2)
+        means.append(float(sums.mean()) / 2)
     coarse, fine = means
+    nodes = _GAUSS_NODES * count  # the finer rule's
     if not abs(fine - coarse) <= _RULE_RTOL * fine:
         raise ValueError(
-            f"the window mean of |r|^2 is {fine!r} on {times.size} nodes and {coarse!r} on half "
+            f"the window mean of |r|^2 is {fine!r} on {nodes} nodes and {coarse!r} on half "
             f"as many: unresolved beyond {_RULE_RTOL:g} relative"
         )
-    return fine, predicted_r2, times.size
+    return fine, predicted_r2, nodes
 
 
 def recurrence_check(model: SpinBathModel, t_rec: float) -> float:

@@ -12,7 +12,6 @@ Every output file embeds that digest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -24,6 +23,16 @@ import numpy as np
 from .ensemble import DEFAULT_AMPLITUDE, sample_observable
 from .model import PAULI_BY_NAME, RelevantObservable, _Checked, eid_observable, single_site_observable
 from .oracle import DEFAULT_SITE_CAP
+
+# hashlib maps OpenSSL's libcrypto, 3.3 MiB resident, for one short digest;
+# CPython's built-in SHA-256 gives the same bytes without it.
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 _MODEL_FIELDS = ("n", "seed", "a_re", "a_im", "b_re", "b_im")
 
@@ -141,7 +150,7 @@ class ExperimentConfig(_Checked):
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+        return sha256(self.canonical_json().encode("ascii")).hexdigest()
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:

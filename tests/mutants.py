@@ -50,6 +50,8 @@ class Mutant:
 
 ENGINE = "src/spinbath/engine.py"
 ANALYSIS = "src/spinbath/analysis.py"
+ORACLE = "src/spinbath/oracle.py"
+CONFIG = "src/spinbath/config.py"
 
 MUTANTS = (
     Mutant(
@@ -104,6 +106,25 @@ MUTANTS = (
         "half = 0.5 * (t1 - t0) / count",
         "half = (t1 - t0) / count",
     ),
+    Mutant(
+        "oracle-phase-sign",
+        ORACLE,
+        "phase = np.multiply(field, 0.5 * t",
+        "phase = np.multiply(field, -0.5 * t",
+    ),
+    Mutant(
+        "oracle-overlap-sign",
+        ORACLE,
+        "turn = np.exp(0.5j * t * model.couplings)",
+        "turn = np.exp(-0.5j * t * model.couplings)",
+    ),
+    Mutant(
+        "hold-window-slack-one-step",
+        ANALYSIS,
+        "slack = 1e-6 * float(steps.min())",
+        "slack = 1.0 * float(steps.min())",
+    ),
+    Mutant("digest-separators", CONFIG, 'separators=(",", ":")', 'separators=(", ", ":")'),
 )
 
 

@@ -220,6 +220,26 @@ class TestFluctuationStats:
         mean_r2, _, _ = fluctuation_stats(model, (t0, t1))
         assert mean_r2 == pytest.approx(exact_window_mean(model, t0, t1), rel=1e-13)
 
+    def test_blocks_of_panels_give_the_one_call_bytes(self, monkeypatch):
+        # Each overlap_r call takes whole panels, at least the kernel's
+        # 1024-time tile width, so the blocked means equal those of one call
+        # over every node bit for bit.
+        model = sample_model(20, 0)
+        window = (1.0, 2000.0)  # 1330 and 2660 panels
+        sizes = []
+
+        def spy(model, times):
+            sizes.append(times.size)
+            return overlap_r(model, times)
+
+        monkeypatch.setattr(analysis, "overlap_r", spy)
+        blocked = fluctuation_stats(model, window)
+        assert len(sizes) == 15 and min(sizes) >= 1024
+        assert max(sizes) < 2 * analysis._BLOCK_PANELS * 16 and all(s % 16 == 0 for s in sizes)
+        monkeypatch.setattr(analysis, "_BLOCK_PANELS", 10**9)
+        assert fluctuation_stats(model, window) == blocked
+        assert len(sizes) == 17
+
     def test_seeded_bath_within_factor_two(self):
         model = sample_model(20, 0)
         gbar = model.mean_coupling

@@ -787,10 +787,16 @@ SMALL_RUNS = [
 ]
 
 
-def test_no_subcommand_imports_numpy_random(tmp_path):
-    # numpy loads numpy.random on first use, and the import alone adds about
-    # 6 MiB to a run's peak RSS.  numpy.polynomial (about 2.5 ms) is left to
-    # fluctuation, which imports it for its quadrature nodes.
+def test_no_subcommand_imports_what_it_does_not_need(tmp_path):
+    # Each module below costs every run that loads it:
+    # - numpy loads numpy.random on first use, and the import alone adds about
+    #   6 MiB to a run's peak RSS;
+    # - np.median imports numpy.ma on first use (about 0.9 MiB of peak RSS and
+    #   16 ms); sweep-n takes its medians without it;
+    # - hashlib maps OpenSSL's libcrypto (3.3 MiB resident, about 4.5 ms);
+    #   the config digest comes from CPython's built-in SHA-256.
+    # numpy.polynomial (about 2.5 ms) is left to fluctuation, which imports it
+    # for its quadrature nodes.
     assert {argv[0] for argv in SMALL_RUNS} == set(COMMANDS)
     code = (
         "import sys\n"
@@ -798,22 +804,9 @@ def test_no_subcommand_imports_numpy_random(tmp_path):
         f"for argv in {SMALL_RUNS!r}:\n"
         "    assert 'numpy.polynomial' not in sys.modules, argv\n"
         f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
-        "    assert 'numpy.random' not in sys.modules, argv\n"
+        "    for name in ('numpy.random', 'numpy.ma', 'hashlib', '_hashlib'):\n"
+        "        assert name not in sys.modules, (name, argv)\n"
         "assert 'numpy.polynomial' in sys.modules\n"
-    )
-    subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True)
-
-
-def test_no_subcommand_imports_numpy_ma(tmp_path):
-    # np.median imports numpy.ma on first use (about 0.9 MiB of peak RSS and
-    # 16 ms); sweep-n takes its medians without it, and nothing else needs it.
-    assert {argv[0] for argv in SMALL_RUNS} == set(COMMANDS)
-    code = (
-        "import sys\n"
-        "from spinbath.cli import main\n"
-        f"for argv in {SMALL_RUNS!r}:\n"
-        f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
-        "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
     subprocess.run([sys.executable, "-c", code], env=SRC_ENV, check=True)
 

@@ -14,6 +14,9 @@ To re-pin after an intended numerical change (declare it in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 
+It replaces only the pinned values the comparison rejects, so a change that
+moves one number, or only the config digests, re-pins only those.
+
 The engine's matrix products go through BLAS, so the bytes depend on the
 BLAS kernels as well as on numpy's SIMD level; the pins hold on any of them.
 ``--print DIR`` runs every config into DIR and prints the outputs as JSON,
@@ -83,18 +86,16 @@ def compare_csv(lines: list[str], pinned: list[str]) -> list[str]:
 def compare_json(doc: dict, pinned: dict) -> list[str]:
     if sorted(doc) != sorted(pinned):
         return [f"keys {sorted(doc)}, pinned {sorted(pinned)}"]
-    problems = []
-    for key, ref in pinned.items():
-        value = doc[key]
-        if key in ORACLE_DIFFS:
-            ok = value <= doc["tolerance"]
-        elif isinstance(ref, float):
-            ok = close(value, ref)
-        else:
-            ok = value == ref
-        if not ok:
-            problems.append(f"{key}: {value!r}, pinned {ref!r}")
-    return problems
+    return [f"{key}: {doc[key]!r}, pinned {ref!r}" for key, ref in pinned.items() if not holds(doc, key, ref)]
+
+
+def holds(doc: dict, key: str, ref) -> bool:
+    """Whether the pin ``ref`` accepts ``doc[key]``."""
+    if key in ORACLE_DIFFS:
+        return doc[key] <= doc["tolerance"]
+    if isinstance(ref, float):
+        return close(doc[key], ref)
+    return doc[key] == ref
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,89 @@ def test_shipped_configs_match_golden_without_fused_multiply_add(setting, golden
     assert not problems, "\n".join(problems[:20])
 
 
+def pinned_digest(files: dict) -> str:
+    """The one config digest a config's pinned files carry."""
+    digests = {
+        ref["config_digest"] if fname.endswith(".json") else ref[1].removeprefix("# config ")
+        for fname, ref in files.items()
+    }
+    assert len(digests) == 1, digests
+    return digests.pop()
+
+
+# config.py takes SHA-256 from CPython's built-in module, _sha256 on 3.10 and
+# 3.11 and _sha2 from 3.12, and falls back to hashlib.  A module set to None
+# in sys.modules fails to import, so each branch runs on any interpreter.
+@pytest.mark.parametrize("blocked", [("_sha256",), ("_sha256", "_sha2")])
+def test_every_digest_branch_gives_the_pinned_digests(blocked, golden):
+    paths = [str(CONFIG_DIR / name) for name in CONFIGS]
+    code = (
+        "import json, sys\n"
+        f"for name in {blocked!r}:\n"
+        "    sys.modules[name] = None\n"
+        "from spinbath.config import config_from_file\n"
+        f"digests = [config_from_file(path).digest for path in {paths!r}]\n"
+        "print(json.dumps([digests, 'hashlib' in sys.modules]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    digests, used_hashlib = json.loads(proc.stdout)
+    assert digests == [pinned_digest(golden[name]) for name in CONFIGS]
+    assert used_hashlib == (len(blocked) == 2 or sys.version_info < (3, 12))
+
+
+def repin(outputs: dict, pinned: dict) -> dict:
+    """``outputs`` in golden form, keeping every pin that still accepts its new value.
+
+    A number is replaced only where ``close`` (for oracle differences, the
+    tolerance) rejects it, and any other field only where it differs, so a
+    change that moves only the config digests re-pins only the digests.
+    """
+    golden = {}
+    for name, files in outputs.items():
+        golden[name] = {}
+        for fname, new in files.items():
+            ref = pinned.get(name, {}).get(fname)
+            if isinstance(new, dict) and isinstance(ref, dict):
+                new = {key: ref[key] if key in ref and holds(new, key, ref[key]) else new[key] for key in new}
+            elif isinstance(new, list) and isinstance(ref, list) and len(new) == len(ref):
+                new = new[:3] + [_repin_row(row, old) for row, old in zip(new[3:], ref[3:])]
+            golden[name][fname] = new
+    return golden
+
+
+def _repin_row(row: str, pinned: str) -> str:
+    values, refs = row.split(","), pinned.split(",")
+    if len(values) != len(refs):
+        return row
+    return ",".join(r if close(float(v), float(r)) else v for v, r in zip(values, refs))
+
+
+def test_repin_replaces_only_what_the_pins_reject():
+    head = ["# spinbath 0.1.0", "# config old", "t,value"]
+    doc = {"config_digest": "old", "ratio": 0.5, "n": 3, "max_diff_overlap": 1e-15, "tolerance": 1e-10}
+    pinned = {"a.json": {"r.json": doc, "s.csv": [*head, "0,0.25", "1,0.125", "2,3"]}}
+    new_head = ["# spinbath 0.1.0", "# config new", "t,value"]
+    new_doc = {**doc, "config_digest": "new", "ratio": 0.5 * (1 + 1e-12), "max_diff_overlap": 2e-15}
+    outputs = {
+        "a.json": {"r.json": new_doc, "s.csv": [*new_head, "0,0.25000000000000006", "1,0.126", "2,3,4"]},
+        "b.json": {"q.json": {"x": 1.0}},
+    }
+    # Only the digest, the number close() rejects and the row of another
+    # width are replaced; the ratio and the oracle difference keep their pins.
+    assert repin(outputs, pinned) == {
+        "a.json": {
+            "r.json": {**doc, "config_digest": "new"},
+            "s.csv": [*new_head, "0,0.25", "1,0.126", "2,3,4"],
+        },
+        "b.json": {"q.json": {"x": 1.0}},
+    }
+    # A file whose row count changed is taken whole.
+    outputs["a.json"]["s.csv"] = outputs["a.json"]["s.csv"][:4]
+    assert repin(outputs, pinned)["a.json"]["s.csv"] == outputs["a.json"]["s.csv"]
+
+
 def all_outputs(scratch: Path) -> dict:
     return {name: run_outputs(CONFIG_DIR / name, scratch / Path(name).stem) for name in CONFIGS}
 
@@ -159,6 +243,6 @@ if __name__ == "__main__":
         print(json.dumps(all_outputs(Path(sys.argv[2]))))
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            golden = all_outputs(Path(tmp))
+            golden = repin(all_outputs(Path(tmp)), json.loads(GOLDEN.read_text(encoding="ascii")))
         GOLDEN.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n", encoding="ascii")
         print(f"wrote {GOLDEN}", file=sys.stderr)
