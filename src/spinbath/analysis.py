@@ -32,18 +32,15 @@ COMMENSURATE_RTOL = 1e-9
 # fluctuation_stats' quadrature.  At a quarter of a 16-node panel (4 nodes)
 # per period of |r|^2's top frequency the coarser rule is good to about 1e-12
 # relative and the finer one to rounding: the two differ by at most 1.2e-12 at
-# N = 1-8 (seed 0), N = 20 (seeds 0-4) and N = 50.  The budget bounds the
-# finer rule's per-panel sums and its kernel work: 5.6 s for N = 280 on the
-# default window, 1.0e8 site-nodes, on a shared 2-core x86-64.  Each
-# overlap_r call takes a block of _BLOCK_PANELS to 2 _BLOCK_PANELS - 1 whole
-# panels, at least the kernel's 1024-time tile width, so the kernel's site
-# blocks, and every |r| byte, do not depend on where a block starts.
+# N = 1-8 (seed 0), N = 20 (seeds 0-4) and N = 50.  The budget bounds one
+# overlap_r call's node grid and its results, at most 2^18 times in 6 MiB, and
+# the finer rule's kernel work: 0.7 s for N = 280 on the default window,
+# 1.0e8 site-nodes, on a shared 2-core x86-64.
 _GAUSS_NODES = 16
 _PANELS_PER_PERIOD = 0.25
 _RULE_RTOL = 1e-9
 _MAX_NODES = 2**22
 _MAX_SITE_NODES = 10**8
-_BLOCK_PANELS = 256
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,8 @@ def fluctuation_stats(model: SpinBathModel, t_window: tuple[float, float]) -> tu
     |r(t)|^2 is a trigonometric polynomial with frequencies in [-2G, 2G],
     G = sum_i g_i, so composite 16-node Gauss-Legendre panels, about
     _PANELS_PER_PERIOD of them per period of 2G, give its window mean to
-    rounding; a rule with twice the panels checks it and is returned.  The
+    rounding; a rule with twice the panels checks it and is returned.  Each
+    rule is 16 even node grids, node j of every panel on one.  The
     long-time mean prod_i (|alpha_i|^4 + |beta_i|^4) holds for incommensurate
     couplings (commensurate models belong in recurrence_check).  Returns
     (window mean, long-time mean, nodes of the finer rule).  Raises
@@ -220,15 +218,12 @@ def fluctuation_stats(model: SpinBathModel, t_window: tuple[float, float]) -> tu
     means = []
     for count in (math.ceil(panels), 2 * math.ceil(panels)):
         half = 0.5 * (t1 - t0) / count
-        centres = t0 + half * np.arange(1, 2 * count, 2)
-        blocks = max(1, count // _BLOCK_PANELS)
-        edges = [count * k // blocks for k in range(blocks + 1)]
-        sums = np.empty(count)  # each panel's Gauss sum of |r|^2
-        for a, b in zip(edges, edges[1:]):
-            times = (centres[a:b, None] + half * x).ravel()
-            sums[a:b] = np.abs(overlap_r(model, times)).reshape(b - a, -1) ** 2 @ w
+        sums = []  # w_j times node j's sum of |r|^2 over the panels
+        for xj, wj in zip(x, w):
+            r = overlap_r(model, np.linspace(t0 + half * (1 + xj), t1 - half * (1 - xj), count))
+            sums.append(wj * np.vdot(r, r).real)
         # Each panel's weights sum to 2, and the panels are of equal width.
-        means.append(float(sums.mean()) / 2)
+        means.append(math.fsum(sums) / (2 * count))
     coarse, fine = means
     nodes = _GAUSS_NODES * count  # the finer rule's
     if not abs(fine - coarse) <= _RULE_RTOL * fine:

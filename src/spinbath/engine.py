@@ -219,8 +219,13 @@ def _even_step(times: np.ndarray) -> float | None:
         if not np.isfinite(step):
             return None
         slack = 2.0 * np.spacing(max(abs(times[0]), abs(times[-1])))
-        grid = np.arange(times.size) * step + times[0]
-        return float(step) if np.all(np.abs(times - grid) <= slack) else None
+        # One reused temporary: the check grid becomes |grid - times| in place.
+        grid = np.arange(times.size, dtype=float)
+        grid *= step
+        grid += times[0]
+        grid -= times
+        np.abs(grid, out=grid)
+        return float(step) if np.all(grid <= slack) else None
 
 
 def _live_window(exponents: list[np.ndarray], lo: int, hi: int) -> tuple[int, int]:

@@ -8,9 +8,10 @@ a refactor that moves it has to update the mutant here instead of silently
 disarming it.  For each mutant the script copies ``src/``, ``tests/``,
 ``configs/`` and ``pyproject.toml`` to a temporary directory, applies the
 mutant there and runs ``SELECTION`` with ``pytest -x``.  It prints KILLED
-with the first failing test, or SURVIVED, and the time taken; the exit
-status is 1 if any mutant survived.  A surviving mutant is either a gap in
-the tests or an equivalent change, which is then listed here with the reason.
+with the first failing test (or "timed out" after ``TIMEOUT`` seconds), or
+SURVIVED, and the time taken; the exit status is 1 if any mutant survived.
+A surviving mutant is either a gap in the tests or an equivalent change,
+which is then listed here with the reason.
 The full run takes several minutes.
 """
 
@@ -38,6 +39,9 @@ SELECTION = (
     "tests/test_oracle.py",
     "tests/test_cli.py",
 )
+# Seconds one mutant's selection may run; a mutant that hangs the tests
+# (an endless loop, say) counts as killed, as mutation tools usually do.
+TIMEOUT = 600
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,24 @@ MUTANTS = (
         "slack = 2.0 * np.spacing(",
         "slack = 200.0 * np.spacing(",
     ),
+    Mutant(
+        "first-site-block-dropped",
+        ENGINE,
+        "for site in range(0, couplings.size, rows):",
+        "for site in range(rows, couplings.size, rows):",
+    ),
+    Mutant(
+        "coarse-angles-of-abs-t",
+        ENGINE,
+        "alpha = np.multiply(g, origins, out=angles[1])",
+        "alpha = np.multiply(g, np.abs(origins), out=angles[1])",
+    ),
+    Mutant(
+        "gamma1-coefficient-conjugated",
+        ENGINE,
+        "(cross_re, static, 1j * up_minus_down)",
+        "(cross_re, static, -1j * up_minus_down)",
+    ),
     Mutant("quadrature-coarser-rule", ANALYSIS, "coarse, fine = means", "fine, coarse = means"),
     Mutant("quadrature-tolerance-1", ANALYSIS, "_RULE_RTOL = 1e-9", "_RULE_RTOL = 1.0"),
     Mutant(
@@ -105,6 +127,14 @@ MUTANTS = (
         ANALYSIS,
         "half = 0.5 * (t1 - t0) / count",
         "half = (t1 - t0) / count",
+    ),
+    # Negating x_j at both ends of the node grid is an equivalent mutant: the
+    # Gauss nodes and weights are symmetric about 0.
+    Mutant(
+        "quadrature-node-grid-end",
+        ANALYSIS,
+        "t1 - half * (1 - xj)",
+        "t1 - half * (1 + xj)",
     ),
     Mutant(
         "oracle-phase-sign",
@@ -160,10 +190,13 @@ def run(mutant: Mutant) -> bool:
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *SELECTION]
         started = time.monotonic()
-        proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+            killed = proc.returncode != 0
+            detail = first_failure(proc.stdout) if killed else f"{len(SELECTION)} test files passed"
+        except subprocess.TimeoutExpired:
+            killed, detail = True, f"timed out after {TIMEOUT} s"
         elapsed = time.monotonic() - started
-    killed = proc.returncode != 0
-    detail = first_failure(proc.stdout) if killed else f"{len(SELECTION)} test files passed"
     print(f"{'KILLED' if killed else 'SURVIVED':8}  {mutant.name:30}  {elapsed:6.1f} s  {detail}", flush=True)
     return killed
 

@@ -26,7 +26,7 @@ from spinbath.analysis import (
     recurrence_check,
     timescale_estimate,
 )
-from spinbath.engine import _site_weights, expectation, overlap_r
+from spinbath.engine import _even_step, _site_weights, expectation, overlap_r
 from spinbath.ensemble import commensurate_model, sample_model
 from spinbath.model import SpinBathModel, Trajectory, eid_observable, make_model
 
@@ -220,25 +220,40 @@ class TestFluctuationStats:
         mean_r2, _, _ = fluctuation_stats(model, (t0, t1))
         assert mean_r2 == pytest.approx(exact_window_mean(model, t0, t1), rel=1e-13)
 
-    def test_blocks_of_panels_give_the_one_call_bytes(self, monkeypatch):
-        # Each overlap_r call takes whole panels, at least the kernel's
-        # 1024-time tile width, so the blocked means equal those of one call
-        # over every node bit for bit.
+    def test_each_rule_is_sixteen_even_node_grids(self, monkeypatch):
+        # Node j of every panel lies on one evenly spaced grid, so each call
+        # takes the kernel's two-stage path.
         model = sample_model(20, 0)
         window = (1.0, 2000.0)  # 1330 and 2660 panels
         sizes = []
 
         def spy(model, times):
+            assert _even_step(times) is not None
             sizes.append(times.size)
             return overlap_r(model, times)
 
         monkeypatch.setattr(analysis, "overlap_r", spy)
-        blocked = fluctuation_stats(model, window)
-        assert len(sizes) == 15 and min(sizes) >= 1024
-        assert max(sizes) < 2 * analysis._BLOCK_PANELS * 16 and all(s % 16 == 0 for s in sizes)
-        monkeypatch.setattr(analysis, "_BLOCK_PANELS", 10**9)
-        assert fluctuation_stats(model, window) == blocked
-        assert len(sizes) == 17
+        _, _, nodes = fluctuation_stats(model, window)
+        assert sizes == [1330] * 16 + [2660] * 16
+        assert nodes == 16 * 2660
+
+    @pytest.mark.parametrize("n_sites", [1, 5, 20, 50])
+    @pytest.mark.parametrize("window", [(50.0, 550.0), (3.7, 11.3)], ids=["default", "short"])
+    def test_even_node_grids_match_one_call_over_every_node(self, n_sites, window):
+        # The reference evaluates the finer rule's nodes panel by panel in
+        # one overlap_r call, on the kernel's direct path.
+        model = sample_model(n_sites, 0)
+        t0, t1 = (w / model.mean_coupling for w in window)
+        mean_r2, _, nodes = fluctuation_stats(model, (t0, t1))
+        count = nodes // 16
+        x, w = np.polynomial.legendre.leggauss(16)
+        half = 0.5 * (t1 - t0) / count
+        centres = t0 + half * np.arange(1, 2 * count, 2)
+        times = (centres[:, None] + half * x).ravel()
+        assert _even_step(times) is None
+        r = overlap_r(model, times)
+        sums = np.abs(r).reshape(count, -1) ** 2 @ w
+        assert mean_r2 == pytest.approx(float(sums.mean()) / 2, rel=1e-12, abs=0)
 
     def test_seeded_bath_within_factor_two(self):
         model = sample_model(20, 0)

@@ -1367,6 +1367,19 @@ class TestEvenGridRotation:
         with pytest.raises(ValueError, match="unresolved"):
             overlap_r(model, times)
 
+    def test_even_step_checks_in_one_temporary(self):
+        # The check grid (1.6 MB here) and one boolean array; a grid, its
+        # difference and its modulus held at once would trace 4.8 MB.
+        times = np.linspace(0.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            step = _even_step(times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert step == 1.0 / 199_999
+        assert peak < 2.5e6
+
 
 def test_eid_expectation_at_time_zero_closed_form():
     model = sample_model(4, 77, a=math.sqrt(0.3), b=math.sqrt(0.7) * np.exp(0.9j))
