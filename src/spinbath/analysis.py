@@ -114,8 +114,7 @@ def decoherence_time(traj: Trajectory, threshold: float, window: float) -> Decoh
     below the threshold would certify it: a window shorter than the largest
     grid step raises ValueError.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1")
+    # The verdict checks the threshold; the window is checked before the grid step is.
     if not window > 0.0:
         raise ValueError("window must be positive")
     if traj.span < 2.0 * window:

@@ -66,7 +66,7 @@ EXIT_CHECK_FAILED = 4
 # Seed offset separating observable draws from model draws in oracle checks.
 _OBS_SEED_OFFSET = 10**6
 
-# Rows formatted per block, one _format_floats call per float column: its
+# Rows formatted per block, one _format_floats call per column: its
 # float64 temporaries (64 KiB) then stay under glibc's 128 KiB mmap threshold
 # and reuse heap pages; 2^14 rows run at half the speed.
 _CSV_BLOCK_ROWS = 2**13
@@ -117,14 +117,14 @@ def _csv_tables() -> dict:
     }
 
 
-def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each float's %.17g text as a NUL-padded 32-byte slot, and the rows % must format.
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """Each float's %.17g text as a NUL-padded 32-byte slot, as (n, 4) uint64.
 
     The digits are round(|v| 10^(16 - x)) at v's decimal exponent x: with
     v = m 2^e, m times the double-double 10^(16 - x) (Dekker products, no FMA)
     is an integral double plus a tail good to ~1e-14.  log10 guesses x and the
-    unrounded product corrects it.  Rows with a value that is not finite, or
-    whose tail is within 1e-6 of a half (a possible exact tie), are flagged.
+    unrounded product corrects it.  A value that is not finite, or whose tail
+    is within 1e-6 of a half (a possible exact tie), is formatted by % alone.
     """
     t = _csv_tables()
     finite, zero = np.isfinite(values), values == 0
@@ -168,37 +168,30 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out |= np.roll(slots.view(np.uint8), 1).view("<u8") & right.take(key, axis=0)
     out |= point.take(key, axis=0)
     out |= t["affix"].take(i + 633 * np.signbit(values), axis=0)
-    return out, ~finite | (np.abs(frac - 0.5) < 1e-6)
+    for r in np.flatnonzero(~finite | (np.abs(frac - 0.5) < 1e-6)):
+        out[r] = np.frombuffer((b"%.17g" % values[r]).ljust(32, b"\0"), "<u8")
+    return out
 
 
 def _write_csv(path: Path, digest: str, columns: tuple[str, ...], data) -> None:
     """Write one 1-D array per column under the digest-stamped header.
 
-    Bool and integer columns print as integers (True as 1), float columns as
-    %.17g, formatted in numpy.  A row goes through one % call only if it holds
-    a non-finite value or a possible rounding tie, so the bytes are those of %
-    on every row.  Each block of rows is written before the next is formatted.
+    ``_format_floats`` formats every value as a double, so integer and bool
+    columns print as integers (True as 1) while they are exact below 10^17,
+    as the site counts and flags written here are.  Each block of rows is
+    written before the next is formatted.
     """
     data = [np.asarray(col) for col in data]
-    row = ",".join("%d" if col.dtype.kind in "biu" else "%.17g" for col in data) + "\n"
     with path.open("wb") as fh:
         fh.write(f"# spinbath {__version__}\n# config {digest}\n{','.join(columns)}\n".encode())
         buffer = np.empty((min(len(data[0]), _CSV_BLOCK_ROWS), len(data), 4), "<u8")
         for lo in range(0, len(data[0]), _CSV_BLOCK_ROWS):
-            block = [col[lo : lo + _CSV_BLOCK_ROWS] for col in data]
-            text, ties = buffer[: len(block[0])], np.zeros(len(block[0]), bool)
-            for j, col in enumerate(block):
-                if col.dtype.kind in "biu":  # + 0 prints bools as 0 and 1
-                    text[:, j] = (col + 0).astype("S32").view("<u8").reshape(-1, 4)
-                else:
-                    text[:, j], undecided = _format_floats(col.astype(float))
-                    ties |= undecided
+            text = buffer[: len(data[0]) - lo]  # the last block may be shorter
+            for j, col in enumerate(data):
+                text[:, j] = _format_floats(col[lo : lo + _CSV_BLOCK_ROWS].astype(float))
             chars = text.view(np.uint8).reshape(len(text), -1)
             chars[:, 31::32] = ord(",")
             chars[:, -1] = ord("\n")
-            for r in np.flatnonzero(ties):
-                line = (row % tuple(col[r].item() for col in block)).encode()
-                chars[r] = np.frombuffer(line.ljust(chars.shape[1], b"\0"), np.uint8)
             fh.write(chars.tobytes().translate(None, b"\0"))
 
 

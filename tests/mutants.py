@@ -6,10 +6,11 @@ A mutant replaces one text in one source file by another.  The text must
 occur exactly once in that file, which ``tests/test_project.py`` checks, so
 a refactor that moves it has to update the mutant here instead of silently
 disarming it.  For each mutant the script copies ``src/``, ``tests/``,
-``configs/`` and ``pyproject.toml`` to a temporary directory, applies the
-mutant there and runs ``SELECTION`` with ``pytest -x``.  It prints KILLED
-with the first failing test (or "timed out" after ``TIMEOUT`` seconds), or
-SURVIVED, and the time taken; the exit status is 1 if any mutant survived.
+``configs/``, ``pyproject.toml`` and ``README.md`` to a temporary
+directory, applies the mutant there and runs ``SELECTION`` with
+``pytest -x``.  It prints KILLED with the first failing test (or "timed
+out" after ``TIMEOUT`` seconds), or SURVIVED, and the time taken; the exit
+status is 1 if any mutant survived.
 A surviving mutant is either a gap in the tests or an equivalent change,
 which is then listed here with the reason.
 The full run takes several minutes.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "configs", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "pyproject.toml", "README.md")  # test_cli.py reads README.md
 
 # The tests that referee the engine and the statistics built on it.
 SELECTION = (
@@ -56,6 +57,7 @@ ENGINE = "src/spinbath/engine.py"
 ANALYSIS = "src/spinbath/analysis.py"
 ORACLE = "src/spinbath/oracle.py"
 CONFIG = "src/spinbath/config.py"
+CLI = "src/spinbath/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -155,6 +157,13 @@ MUTANTS = (
         "slack = 1.0 * float(steps.min())",
     ),
     Mutant("digest-separators", CONFIG, 'separators=(",", ":")', 'separators=(", ", ":")'),
+    Mutant("csv-tie-margin-zero", CLI, "(np.abs(frac - 0.5) < 1e-6)", "(np.abs(frac - 0.5) < 0)"),
+    Mutant(
+        "csv-non-finite-off-percent",
+        CLI,
+        "~finite | (np.abs(frac - 0.5) < 1e-6)",
+        "(np.abs(frac - 0.5) < 1e-6)",
+    ),
 )
 
 

@@ -459,6 +459,10 @@ class TestScalingSweep:
         with pytest.raises(ValueError, match="at least one"):
             n_scaling_sweep([], seed=0)
 
+    def test_zero_seeds_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one seed$"):
+            n_scaling_sweep([5], 0, n_seeds=0)
+
     def test_explicit_window_and_span(self):
         rows = n_scaling_sweep([20], seed=0, window=40.0, t_max=200.0, points=1000, n_seeds=2)
         assert rows[0].n_sites == 20

@@ -34,7 +34,7 @@ from spinbath.cli import (
     build_parser,
     main,
 )
-from spinbath.config import COMMANDS, ExperimentConfig
+from spinbath.config import COMMANDS, ExperimentConfig, config_from_dict
 from spinbath.engine import _even_step, expectation
 from spinbath.ensemble import sample_model, sample_observable
 from spinbath.model import SpinBathModel
@@ -144,7 +144,7 @@ class TestCsvFormat:
         special = [-0.0, 5e-324, 1e308, math.inf, -math.inf, 0.1, -2.5e-300]
         floats = np.array(special + [math.pi * k for k in range(rows)])[:rows]
         columns = (
-            [10 ** (k % 19) for k in range(rows)],
+            [10 ** (k % 17) for k in range(rows)],  # exact doubles below 10^17
             floats,
             floats[::-1] / 3.0,
             [bool(k % 2) for k in range(rows)],
@@ -194,9 +194,6 @@ def around(values, ulps=8) -> np.ndarray:
     return np.concatenate(out)
 
 
-INT64 = np.iinfo(np.int64)
-
-
 class TestFloatWriter:
     """The numpy float formatter against the per-value % reference, byte for byte."""
 
@@ -230,34 +227,41 @@ class TestFloatWriter:
     def test_exact_ties_take_the_percent_path(self, tmp_path):
         ties = exact_ties()
         assert ties.size >= 100
-        assert _format_floats(ties)[1].all()
-        # Rows with a tie also carry integer and bool columns through %.
+        slots = b"".join((b"%.17g" % v).ljust(32, b"\0") for v in ties.tolist())
+        assert _format_floats(ties).tobytes() == slots
+        # Rows with a tie format their integer and bool columns as every row does.
         ints = np.arange(ties.size) * 7919 - 10**6
         assert_writer_matches_reference(tmp_path, ties, ints, ints % 3 == 0, -ties)
 
     def test_integer_and_bool_dtypes(self, tmp_path):
+        # Integers print as %.17g of their double, exact within +-2^53.
         rng = np.random.default_rng(5)
         columns = (
             rng.integers(-128, 128, 500).astype(np.int8),
             rng.integers(-(2**31), 2**31, 500).astype(np.int32),
-            rng.integers(0, 2**64 - 1, 500, dtype=np.uint64, endpoint=True),
-            np.r_[INT64.min, INT64.max, rng.integers(-(2**62), 2**62, 498)],
+            rng.integers(0, 2**53, 500, dtype=np.uint64, endpoint=True),
+            np.r_[-(2**53), 2**53, rng.integers(-(2**53), 2**53, 498)],
             rng.random(500) < 0.5,
             [bool(k % 2) for k in range(500)],
             rng.standard_normal(500),
         )
         assert_writer_matches_reference(tmp_path, *columns)
 
-    def test_percent_path_is_rare_on_a_trace_long_column(self):
+    def test_percent_path_is_rare_on_a_trace_long_column(self, monkeypatch):
         # The trace-long workload: simulate-obs --n 48 --points 200000 with a random observable.
         model = sample_model(48, 5)
         times = np.linspace(0.0, 100.0 / model.mean_coupling, 200_000)
         values = expectation(model, sample_observable(48, 5 + 10**6), times)
+        # _format_floats hands % the values np.flatnonzero picks from its undecided mask.
+        undecided = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda mask: undecided.append(mask) or flatnonzero(mask))
         for column in (times, values):
-            undecided = np.concatenate(
-                [_format_floats(column[s : s + 2**13])[1] for s in range(0, column.size, 2**13)]
-            )
-            assert undecided.mean() <= 0.01
+            undecided.clear()
+            for s in range(0, column.size, 2**13):
+                _format_floats(column[s : s + 2**13])
+            assert np.concatenate(undecided).size == column.size
+            assert np.concatenate(undecided).mean() <= 0.01
 
     def test_peak_memory_of_a_long_write(self, tmp_path):
         times = np.linspace(0.0, 37.0, 200_000)
@@ -706,6 +710,42 @@ class TestExitCodes:
         assert main(["simulate-r", "--config", str(cfg_path)]) == EXIT_INVALID
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("eid:1,0,0", "eid spec needs 4 comma-separated numbers, got '1,0,0'"),
+            ("eid:1,0,0,x", "eid spec has a non-numeric entry in '1,0,0,x'"),
+            ("single-site:x", "single-site index must be an integer, got 'x'"),
+            ("random:x", "random observable needs an integer seed, got 'x'"),
+        ],
+    )
+    def test_malformed_observable_spec(self, tmp_path, capsys, spec, message):
+        assert run_cli(["simulate-obs", "--n", "4", "--obs", spec], tmp_path / "out") == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "n_list, message",
+        [
+            ("1,x", "argument --n-list: not a comma-separated integer list: '1,x'"),
+            ("20,0", "error: n_list must be a non-empty list of positive counts"),
+            # Refused by the sampler before any file is written, so the n
+            # column the writer formats as doubles never reaches 2^32.
+            ("20,4294967296", "error: 4294967296 streams need a two-word spawn key"),
+        ],
+    )
+    def test_refused_site_count_list(self, tmp_path, capsys, n_list, message):
+        assert run_cli(["sweep-n", "--n-list", n_list, "--seeds", "1"], tmp_path / "out") == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1]")
+        assert main(["simulate-r", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: config document must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_is_validated_before_flags_merge(self, tmp_path, capsys):
         # --points 5 would make the merged config valid, but the file alone is not.
         cfg_path = tmp_path / "run.json"
@@ -854,6 +894,27 @@ class TestConfigObject:
         command = next(c for c, read in COMMANDS.items() if name in read)
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             ExperimentConfig(command=command, **{name: value})
+
+    @pytest.mark.parametrize("data", [["command", "simulate-r"], "simulate-r", None])
+    def test_document_must_be_an_object(self, data):
+        with pytest.raises(ValueError, match="^config document must be a JSON object$"):
+            config_from_dict(data)
+
+    def test_document_must_name_a_command(self):
+        with pytest.raises(ValueError, match="^config needs a command$"):
+            config_from_dict({"n": 5})
+
+    @pytest.mark.parametrize("n_list", [[], [0], [5, 0]])
+    def test_site_count_list_must_hold_positive_counts(self, n_list):
+        with pytest.raises(ValueError, match="^n_list must be a non-empty list of positive counts$"):
+            ExperimentConfig(command="sweep-n", n_list=n_list)
+
+    @pytest.mark.parametrize(
+        "command, name", [("oracle-check", "trials"), ("sweep-n", "n_seeds"), ("oracle-check", "site_cap")]
+    )
+    def test_counts_must_be_positive(self, command, name):
+        with pytest.raises(ValueError, match="^trials, n_seeds and site_cap must be positive$"):
+            ExperimentConfig(command=command, **{name: 0})
 
     def test_unread_field_must_keep_its_default(self):
         with pytest.raises(ValueError, match="timescale does not read seed, points"):

@@ -232,6 +232,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="at least two"):
             Trajectory(times=[0.0], values=[1.0])
 
+    def test_rejects_two_dimensional_arrays(self):
+        grid = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ValueError, match="^trajectory times and values must be 1-D$"):
+            Trajectory(times=grid, values=grid)
+
     def test_complex_values_and_immutability(self):
         traj = Trajectory(times=[0.0, 1.0], values=[1.0 + 0.0j, 0.0 + 1.0j])
         assert traj.values.dtype == complex
