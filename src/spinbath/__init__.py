@@ -28,7 +28,6 @@ from .engine import (
     ReducedState,
     expectation,
     overlap_r,
-    r_squared_bounds,
     reduced_system_state,
 )
 from .ensemble import commensurate_model, sample_model, sample_observable
@@ -83,7 +82,6 @@ __all__ = [
     "oracle_reduced_state",
     "overlap_r",
     "parse_observable_spec",
-    "r_squared_bounds",
     "r_trajectory",
     "recurrence_check",
     "reduced_system_state",

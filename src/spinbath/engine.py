@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RelevantObservable, SpinBathModel, _Checked
+from .model import RelevantObservable, SpinBathModel, _Checked, _check_hermitian
 
 # Factors are folded in site blocks of at most _TILE_SITES sites and
 # _TILE_ELEMENTS // min(T, _TILE_TIMES) sites: a product of _TILE_SITES split
@@ -103,15 +103,9 @@ class ReducedState(_Checked):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError("reduced state must be 2x2")
-        if not np.isfinite(mat).all():  # NaN would pass every comparison below
-            raise ValueError("reduced state must be finite")
+        mat = _check_hermitian(self.matrix, "reduced state")
         if abs(np.trace(mat) - 1.0) > 1e-12:
             raise ValueError("reduced state must have unit trace")
-        if abs(mat[0, 1] - np.conj(mat[1, 0])) > 1e-12:
-            raise ValueError("reduced state must be Hermitian")
         # Smaller eigenvalue of a 2x2 Hermitian matrix with unit trace.
         det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
         disc = max(1.0 - 4.0 * det, 0.0)
@@ -448,16 +442,6 @@ def _product(values: np.ndarray) -> float:
     """prod(values), one site per value, with no intermediate underflow or overflow."""
     products = _site_products(np.zeros(values.size), np.zeros(1), np.abs(values), ((values, 0, 0),))
     return float(products[0][0])
-
-
-def r_squared_bounds(model: SpinBathModel) -> tuple[float, float]:
-    """Envelope of |overlap_r|^2 over all times.
-
-    Each squared site factor oscillates between (2|alpha|^2 - 1)^2 and 1, so
-    the product is bracketed by (prod_i (2|alpha_i|^2 - 1)^2, 1).
-    """
-    w_up, _ = _site_weights(model)
-    return _product((2.0 * w_up - 1.0) ** 2), 1.0
 
 
 def reduced_system_state(model: SpinBathModel, t: float) -> ReducedState:

@@ -87,12 +87,6 @@ MUTANTS = (
         "r = complex(r[0])",
     ),
     Mutant(
-        "bounds-abs-not-square",
-        ENGINE,
-        "_product((2.0 * w_up - 1.0) ** 2)",
-        "_product(np.abs(2.0 * w_up - 1.0))",
-    ),
-    Mutant(
         "live-window-ge",
         ENGINE,
         "np.any([e[lo:hi] > _DROP",
@@ -157,12 +151,24 @@ MUTANTS = (
         "slack = 1.0 * float(steps.min())",
     ),
     Mutant("digest-separators", CONFIG, 'separators=(",", ":")', 'separators=(", ", ":")'),
+    Mutant(
+        "random-spec-seed-plus-one",
+        CONFIG,
+        "sample_observable(n_sites, obs_seed)",
+        "sample_observable(n_sites, obs_seed + 1)",
+    ),
     Mutant("csv-tie-margin-zero", CLI, "(np.abs(frac - 0.5) < 1e-6)", "(np.abs(frac - 0.5) < 0)"),
     Mutant(
         "csv-non-finite-off-percent",
         CLI,
         "~finite | (np.abs(frac - 0.5) < 1e-6)",
         "(np.abs(frac - 0.5) < 1e-6)",
+    ),
+    Mutant(
+        "simulate-r-small-overlaps-zeroed",
+        CLI,
+        "    r = overlap_r(model, times)\n",
+        "    r = overlap_r(model, times)\n    r[np.abs(r) < 1e-14] = 0\n",
     ),
 )
 

@@ -22,9 +22,10 @@ from spinbath.analysis import (
 from spinbath.cli import EXIT_OK, run
 from spinbath.config import config_from_file
 from spinbath.engine import (
+    _product,
+    _site_weights,
     expectation,
     overlap_r,
-    r_squared_bounds,
     reduced_system_state,
 )
 from spinbath.ensemble import commensurate_model, sample_model, sample_observable
@@ -172,7 +173,9 @@ def test_overlap_bounds_hold_everywhere():
     checked = 0
     for m in range(100):
         model = sample_model(1 + (m % 25), 500 + m)
-        lower, upper = r_squared_bounds(model)
+        # Each squared site factor oscillates between (2|alpha_i|^2 - 1)^2 and 1.
+        w_up, _ = _site_weights(model)
+        lower, upper = _product((2.0 * w_up - 1.0) ** 2), 1.0
         ts = np.random.default_rng(600 + m).uniform(0.0, 200.0, 100)
         r2 = np.abs(overlap_r(model, ts)) ** 2
         violations += int(np.sum((r2 < lower - 1e-12) | (r2 > upper + 1e-12)))

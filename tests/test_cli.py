@@ -34,7 +34,7 @@ from spinbath.cli import (
     build_parser,
     main,
 )
-from spinbath.config import COMMANDS, ExperimentConfig, config_from_dict
+from spinbath.config import COMMANDS, ExperimentConfig, config_from_dict, parse_observable_spec
 from spinbath.engine import _even_step, expectation
 from spinbath.ensemble import sample_model, sample_observable
 from spinbath.model import SpinBathModel
@@ -123,6 +123,22 @@ class TestCsvFormat:
         assert lines[2] == "t,value"
         values = {line.split(",")[1] for line in lines[3:]}
         assert len(values) == 1
+
+    def test_random_spec_draws_the_observable_of_its_seed(self):
+        parsed, drawn = parse_observable_spec("random:3", 5), sample_observable(5, 3)
+        assert np.array_equal(parsed.system_part, drawn.system_part)
+        assert np.array_equal(parsed.site_parts, drawn.site_parts)
+
+    def test_simulate_obs_writes_the_random_observable_it_names(self, tmp_path):
+        args = ["simulate-obs", "--n", "5", "--points", "20", "--obs", "random:3"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        lines = (tmp_path / "simulate_obs.csv").read_text().splitlines()
+        t, value = np.array([line.split(",") for line in lines[3:]], dtype=float).T
+        model = sample_model(5, 0)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 20)
+        # %.17g round-trips every double, so the file holds these very values.
+        assert np.array_equal(t, times)
+        assert np.array_equal(value, expectation(model, sample_observable(5, 3), times))
 
     def test_sweep_row_for_single_spin_prints_inf(self, tmp_path):
         run_cli(

@@ -26,7 +26,6 @@ from spinbath.engine import (
     _expectation_products,
     expectation,
     overlap_r,
-    r_squared_bounds,
     reduced_system_state,
 )
 from spinbath.ensemble import sample_model, sample_observable
@@ -340,37 +339,41 @@ class TestOverlap:
         )
 
 
+def envelope_floor(model):
+    """prod_i (2|alpha_i|^2 - 1)^2, the least |overlap_r|^2 can reach; 1 is the most.
+
+    Each squared site factor oscillates between (2|alpha_i|^2 - 1)^2 and 1.
+    """
+    w_up, _ = engine._site_weights(model)
+    return engine._product((2.0 * w_up - 1.0) ** 2)
+
+
 class TestBounds:
     def test_balanced_sites_reach_zero(self, fallback_points):
         # 0.5 +/- 0.5i amplitudes keep |alpha|^2 exactly one half in floats.
         model = make_model(INV, INV, [(0.5 + 0.5j, 0.5 - 0.5j, 1.0)] * 3)
-        assert r_squared_bounds(model) == (0.0, 1.0)
+        assert envelope_floor(model) == 0.0
         # The exact zero factors send the product to the split fallback.
         assert fallback_points[0] == 1
-        assert r_squared_bounds(equal_superposition_model(3))[0] == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert envelope_floor(equal_superposition_model(3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_bath_pins_modulus(self):
         model = make_model(INV, INV, [(1.0, 0.0, 1.0)] * 2)
-        assert r_squared_bounds(model) == (1.0, 1.0)
+        assert envelope_floor(model) == 1.0
         assert abs(overlap_r(model, 7.7)) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_quarter_weight(self):
         alpha = math.sqrt(0.75)
         beta = math.sqrt(0.25)
         model = make_model(1.0, 0.0, [(alpha, beta, 1.0), (alpha, beta, 2.0)])
-        lower, upper = r_squared_bounds(model)
-        assert lower == pytest.approx(0.0625, abs=1e-12)
-        assert upper == 1.0
+        assert envelope_floor(model) == pytest.approx(0.0625, abs=1e-12)
 
     @given(seed=seed_strategy, t=times_strategy)
     @settings(max_examples=40, deadline=None)
     def test_bounds_bracket_samples(self, seed, t):
         model = sample_model(6, seed)
-        lower, upper = r_squared_bounds(model)
         r2 = abs(overlap_r(model, t)) ** 2
-        assert lower - 1e-12 <= r2 <= upper + 1e-12
+        assert envelope_floor(model) - 1e-12 <= r2 <= 1.0 + 1e-12
 
 
 def single_spin_reference(model, j, eps, t):
@@ -466,8 +469,10 @@ class TestReducedState:
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ValueError, match="unit trace"):
             ReducedState(np.diag([0.7, 0.7]))
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match="reduced state off-diagonal entries must be conjugates"):
             ReducedState(np.array([[0.5, 0.1], [0.3, 0.5]]))
+        with pytest.raises(ValueError, match="reduced state diagonal must be real"):
+            ReducedState(np.array([[0.5 + 0.1j, 0.0], [0.0, 0.5 - 0.1j]]))
         with pytest.raises(ValueError, match="positive"):
             ReducedState(np.array([[0.5, 0.9], [0.9, 0.5]]))
         with pytest.raises(ValueError, match="2x2"):
@@ -554,7 +559,7 @@ class TestSplitFallback:
 
     @staticmethod
     def _products(model, obs, times):
-        return [overlap_r(model, times), r_squared_bounds(model)[0]] + _expectation_products(
+        return [overlap_r(model, times), envelope_floor(model)] + _expectation_products(
             model, obs, times
         )
 
@@ -650,7 +655,7 @@ class TestSplitFallback:
         sites = [(math.sqrt(u), math.sqrt(1.0 - u), 1.0)] * near_balanced
         sites += [(1.0, 0.0, 1.0)] * (2000 - near_balanced)
         model = make_model(INV, INV, sites)
-        lower, _ = r_squared_bounds(model)
+        lower = envelope_floor(model)
         assert folds[0] == 1  # of two blocks: the point was dropped after the first
         assert fallback_points[0] == folds[0]
         w_up = model.alphas.real**2 + model.alphas.imag**2
@@ -663,7 +668,7 @@ class TestSplitFallback:
         # reached only through a block product below the floor.
         u = 0.5 * (1.0 + math.sqrt(0.51))
         model = make_model(INV, INV, [(math.sqrt(u), math.sqrt(1.0 - u), 1.0)] * 1000)
-        lower, _ = r_squared_bounds(model)
+        lower = envelope_floor(model)
         assert fallback_points[0] == 1
         w_up = model.alphas.real**2 + model.alphas.imag**2
         log_lower = math.fsum(np.log((2.0 * w_up - 1.0) ** 2))
@@ -1080,16 +1085,45 @@ def _log_overlap_referee(model, t):
     return log_mag, phase
 
 
-@pytest.mark.parametrize("n_sites", [65, 1000, 10_000])
+def _refereed_rows(model, times):
+    """(t, overlap_r, referee) for each time, the overlaps from one engine call."""
+    values = overlap_r(model, np.array(times)).tolist()
+    return [(t, value, _log_overlap_referee(model, t)) for t, value in zip(times, values)]
+
+
+def _rows_around_crossings(model, rows, levels):
+    """Rows at 1 -/+ 1e-4 times the first time where log|r| falls through each level.
+
+    Between two grid rows log|r| is close to -c t^2, so the crossing is
+    interpolated linearly in t^2; at N = 10^5 that lands within 0.005 of each
+    level, and the rows lie about 0.15 either side.
+    """
+    times = []
+    for level in levels:
+        k = next(k for k, (_, _, (ref, _)) in enumerate(rows) if ref < level)
+        (t0, _, (ref0, _)), (t1, _, (ref1, _)) = rows[k - 1], rows[k]
+        crossing = math.sqrt(t0**2 + (level - ref0) * (t1**2 - t0**2) / (ref1 - ref0))
+        times += [crossing * (1 - 1e-4), crossing * (1 + 1e-4)]
+    return _refereed_rows(model, times)
+
+
+@pytest.mark.parametrize("n_sites", [65, 1000, 10_000, 100_000])
 def test_overlap_matches_log_space_referee_at_large_n(n_sites):
     model = sample_model(n_sites, 3)
-    # Out to t = 1.2 the N = 10^4 bath reaches log|r| of about -2000: the grid
-    # crosses e^-700, the subnormal range and the exact-zero range.
-    times = np.linspace(0.0, 1.2 * 10_000 / n_sites, 241)
-    r = overlap_r(model, times)
+    if n_sites < 100_000:
+        # Out to t = 1.2 the N = 10^4 bath reaches log|r| of about -2000: the
+        # grid crosses e^-700, the subnormal range and the exact-zero range.
+        rows = _refereed_rows(model, np.linspace(0.0, 1.2 * 10_000 / n_sites, 241).tolist())
+    else:
+        # The referee takes about 20 ms a row here, so 33 rows go out to
+        # t = 0.4, where log|r| is about -1800.  The step from t = 0.25 to
+        # 0.2625 takes log|r| from -698 to -769, over both the e^-700 mark
+        # and the subnormal range, so six uneven rows (the engine's direct
+        # path) straddle the three crossings.
+        rows = _refereed_rows(model, np.linspace(0.0, 0.4, 33).tolist())
+        rows += _rows_around_crossings(model, rows, (-700.0, LOG_TINY, LOG_ZERO))
     regimes = set()
-    for t, value in zip(times.tolist(), r.tolist()):
-        ref, phase = _log_overlap_referee(model, t)
+    for t, value, (ref, phase) in rows:
         mag = abs(value)
         if ref > LOG_TINY:
             regimes.add("normal" if ref > -700.0 else "below e^-700")
@@ -1101,7 +1135,7 @@ def test_overlap_matches_log_space_referee_at_large_n(n_sites):
         else:
             regimes.add("zero")
             assert value == 0.0
-    if n_sites == 10_000:
+    if n_sites >= 10_000:
         assert regimes == {"normal", "below e^-700", "subnormal", "zero"}
 
 

@@ -5,8 +5,12 @@ writes: CSV files as their list of lines, JSON files as their parsed document.
 A numerical change to the package must be a decision, so it shows up here.
 
 Comment lines, CSV headers, versions and config digests must match exactly.
-Numbers must match within ``REL_TOL`` relative or ``ABS_TOL`` absolute,
-which leaves room for last-digit rounding changes in the product kernel and
+An overlap (``re_r``, ``im_r``, ``abs_r``) must match within ``REL_TOL``
+times its row's pinned |r|, and a ``simulate-obs`` value within ``REL_TOL``
+times its own pinned magnitude, give or take ``SUBNORMAL_SLACK``: each row
+is judged on its own scale, so a value of 1e-20 written as 0 fails.  Other
+numbers must match within ``REL_TOL`` relative or ``ABS_TOL`` absolute.
+That leaves room for last-digit rounding changes in the product kernel and
 nothing more.  ``oracle_check`` differences are pinned as ``<= tolerance``,
 not as raw values, because they are rounding noise by design.
 
@@ -43,8 +47,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
+# simulate_r_n100 differs from its pins by up to 3.5e-12 of a row's |r|, and
+# simulate_obs_single_site by 7.2e-14 of a value, under default kernels and
+# both settings of WITHOUT_FMA alike.
 REL_TOL = 1e-10
 ABS_TOL = 1e-14
+SUBNORMAL_SLACK = 8 * 2.0**-1074
+# The pinned column that sets the scale of a CSV column judged row by row.
+ROW_SCALE = {"re_r": "abs_r", "im_r": "abs_r", "abs_r": "abs_r", "value": "value"}
 ORACLE_DIFFS = ("max_diff_expectation", "max_diff_overlap", "max_diff_reduced_state")
 
 CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
@@ -68,6 +78,19 @@ def close(value: float, pinned: float) -> bool:
     return math.isclose(value, pinned, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
+def fields_hold(header: str, row: str, pinned: str) -> list[bool]:
+    """Whether each field of a pinned CSV data row accepts the new row's field."""
+    names = header.split(",")
+    values, refs = ([float(x) for x in line.split(",")] for line in (row, pinned))
+    pins = dict(zip(names, refs))
+    return [
+        close(v, r)
+        if name not in ROW_SCALE
+        else v == r or abs(v - r) <= REL_TOL * abs(pins[ROW_SCALE[name]]) + SUBNORMAL_SLACK
+        for name, v, r in zip(names, values, refs)
+    ]
+
+
 def compare_csv(lines: list[str], pinned: list[str]) -> list[str]:
     problems = []
     if len(lines) != len(pinned):
@@ -78,7 +101,7 @@ def compare_csv(lines: list[str], pinned: list[str]) -> list[str]:
         values, refs = row.split(","), ref.split(",")
         if len(values) != len(refs):
             problems.append(f"line {k}: {len(values)} fields, pinned {len(refs)}")
-        elif not all(close(float(v), float(r)) for v, r in zip(values, refs)):
+        elif not all(fields_hold(pinned[2], row, ref)):
             problems.append(f"line {k}: {row!r}, pinned {ref!r}")
     return problems
 
@@ -184,9 +207,9 @@ def test_every_digest_branch_gives_the_pinned_digests(blocked, golden):
 def repin(outputs: dict, pinned: dict) -> dict:
     """``outputs`` in golden form, keeping every pin that still accepts its new value.
 
-    A number is replaced only where ``close`` (for oracle differences, the
-    tolerance) rejects it, and any other field only where it differs, so a
-    change that moves only the config digests re-pins only the digests.
+    A number is replaced only where the comparison (for oracle differences,
+    the tolerance) rejects it, and any other field only where it differs, so
+    a change that moves only the config digests re-pins only the digests.
     """
     golden = {}
     for name, files in outputs.items():
@@ -196,16 +219,27 @@ def repin(outputs: dict, pinned: dict) -> dict:
             if isinstance(new, dict) and isinstance(ref, dict):
                 new = {key: ref[key] if key in ref and holds(new, key, ref[key]) else new[key] for key in new}
             elif isinstance(new, list) and isinstance(ref, list) and len(new) == len(ref):
-                new = new[:3] + [_repin_row(row, old) for row, old in zip(new[3:], ref[3:])]
+                new = new[:3] + [_repin_row(new[2], row, old) for row, old in zip(new[3:], ref[3:])]
             golden[name][fname] = new
     return golden
 
 
-def _repin_row(row: str, pinned: str) -> str:
+def _repin_row(header: str, row: str, pinned: str) -> str:
     values, refs = row.split(","), pinned.split(",")
     if len(values) != len(refs):
         return row
-    return ",".join(r if close(float(v), float(r)) else v for v, r in zip(values, refs))
+    return ",".join(r if holds else v for v, r, holds in zip(values, refs, fields_hold(header, row, pinned)))
+
+
+def test_overlaps_are_judged_on_their_row_scale():
+    head = ["# spinbath 0.1.0", "# config x", "t,re_r,im_r,abs_r"]
+    pinned = [*head, "1,1e-20,-2e-30,1e-20", "2,0.5,1e-18,0.5"]
+    # Each overlap may move by REL_TOL of its row's |r|, an im_r near 0 too.
+    assert compare_csv([*head, "1,1.00000000005e-20,-2.5e-30,1e-20", "2,0.5,4e-12,0.5"], pinned) == []
+    # A small |r| written as 0 fails, though it lies within ABS_TOL.
+    problems = compare_csv([*head, "1,0,0,0", "2,0.5,1e-18,0.5"], pinned)
+    assert problems == ["line 4: '1,0,0,0', pinned '1,1e-20,-2e-30,1e-20'"]
+    assert compare_csv([*head, "1,1e-20,-2e-30,1e-20", "2,0.5,1e-10,0.5"], pinned) != []
 
 
 def test_repin_replaces_only_what_the_pins_reject():
