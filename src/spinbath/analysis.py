@@ -95,7 +95,12 @@ class TimescaleReport(_Checked):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Median verdict statistics for one site count in a scaling sweep."""
+    """Median verdict statistics for one site count in a scaling sweep.
+
+    ``t_d`` and ``sup_late`` are medians over the seeds; ``decohered`` holds
+    only when every seed's window holds, so a row may read a finite median
+    ``t_d`` and a ``sup_late`` below the threshold and still be False.
+    """
 
     n_sites: int
     t_d: float

@@ -1,16 +1,18 @@
 """Mutation check: each mutant breaks the package a little, and a test must notice.
 
-    PYTHONPATH=src python tests/mutants.py [--only NAME]
+    python tests/mutants.py [--only NAME [NAME ...]]
 
 A mutant replaces one text in one source file by another.  The text must
 occur exactly once in that file, which ``tests/test_project.py`` checks, so
 a refactor that moves it has to update the mutant here instead of silently
-disarming it.  For each mutant the script copies ``src/``, ``tests/``,
-``configs/``, ``pyproject.toml`` and ``README.md`` to a temporary
-directory, applies the mutant there and runs ``SELECTION`` with
-``pytest -x``.  It prints KILLED with the first failing test (or "timed
-out" after ``TIMEOUT`` seconds), or SURVIVED, and the time taken; the exit
-status is 1 if any mutant survived.
+disarming it.  For each mutant the script copies the repository, without
+``.git`` and caches, to a temporary directory, applies the mutant there and
+runs the tier-1 command with ``-x`` (``COMMAND``), all of it but that text
+check (``TEXT_CHECK``).  It prints KILLED with the first failing test (or
+"timed out" after ``TIMEOUT`` seconds), or SURVIVED, and the time taken;
+the exit status is 1 if any mutant survived.  Before the mutants it runs an
+unmutated copy, the control, text check included: if that fails, no kill
+means anything, and the script stops with exit status 2.
 A surviving mutant is either a gap in the tests or an equivalent change,
 which is then listed here with the reason.
 The full run takes several minutes.
@@ -29,19 +31,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "configs", "pyproject.toml", "README.md")  # test_cli.py reads README.md
-
-# The tests that referee the engine and the statistics built on it.
-SELECTION = (
-    "tests/test_engine.py",
-    "tests/test_analysis.py",
-    "tests/test_golden.py",
-    "tests/test_acceptance.py",
-    "tests/test_oracle.py",
-    "tests/test_cli.py",
-)
-# Seconds one mutant's selection may run; a mutant that hangs the tests
-# (an endless loop, say) counts as killed, as mutation tools usually do.
+IGNORED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_run", ".bench_build", ".benchmarks")
+COMMAND = (sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x")
+# This test finds each mutant's text in src/, which a mutant has changed; the
+# control run keeps it, and the mutant runs deselect it.
+TEXT_CHECK = "tests/test_project.py::test_every_mutant_text_occurs_once_in_src"
+# Seconds one run of tier-1 may take; a mutant that hangs the tests (an
+# endless loop, say) counts as killed, as mutation tools usually do.
 TIMEOUT = 600
 
 
@@ -58,6 +54,7 @@ ANALYSIS = "src/spinbath/analysis.py"
 ORACLE = "src/spinbath/oracle.py"
 CONFIG = "src/spinbath/config.py"
 CLI = "src/spinbath/cli.py"
+MODEL = "src/spinbath/model.py"
 
 MUTANTS = (
     Mutant(
@@ -170,6 +167,39 @@ MUTANTS = (
         "    r = overlap_r(model, times)\n",
         "    r = overlap_r(model, times)\n    r[np.abs(r) < 1e-14] = 0\n",
     ),
+    Mutant(
+        "sweep-decohered-any",
+        ANALYSIS,
+        "decohered=all(v.decohered for v in verdicts)",
+        "decohered=any(v.decohered for v in verdicts)",
+    ),
+    Mutant(
+        "oracle-grid-short",
+        CLI,
+        "np.linspace(0.0, 50.0 / model.mean_coupling, 10)",
+        "np.linspace(0.0, 5.0 / model.mean_coupling, 10)",
+    ),
+    Mutant(
+        "dense-norm-tol-1e-2",
+        ORACLE,
+        "abs(np.vdot(amps, amps).real - 1.0) <= 1e-10",
+        "abs(np.vdot(amps, amps).real - 1.0) <= 1e-2",
+    ),
+    Mutant("oracle-residue-tol-1e-2", ORACLE, "if abs(value.imag) > 1e-10:", "if abs(value.imag) > 1e-2:"),
+    Mutant(
+        "reduced-trace-tol-1e-6",
+        ENGINE,
+        "if abs(np.trace(mat) - 1.0) > 1e-12:",
+        "if abs(np.trace(mat) - 1.0) > 1e-6:",
+    ),
+    Mutant("hermiticity-tol-1e-6", MODEL, "HERMITICITY_TOL = 1e-12", "HERMITICITY_TOL = 1e-6"),
+    Mutant("commensurate-rtol-1e-3", ANALYSIS, "COMMENSURATE_RTOL = 1e-9", "COMMENSURATE_RTOL = 1e-3"),
+    Mutant(
+        "verdict-tail-right",
+        ANALYSIS,
+        'tail = np.searchsorted(times, times[-1] - window - slack, side="left")',
+        'tail = np.searchsorted(times, times[-1] - window + slack, side="right")',
+    ),
 )
 
 
@@ -191,36 +221,39 @@ def first_failure(output: str) -> str:
     return lines[-1] if lines else "(no output)"
 
 
-def run(mutant: Mutant) -> bool:
-    """Run the selection against one mutant; True if a test failed."""
+def run(mutant: Mutant | None) -> bool:
+    """Run tier-1 in a copy of the repository, mutated unless ``mutant`` is None; True if a test failed."""
     with tempfile.TemporaryDirectory(prefix="spinbath-mutant-") as tmp:
-        root = Path(tmp)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, root / name, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(source, root / name)
-        apply(mutant, root)
+        root = Path(tmp) / "repo"
+        shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(*IGNORED))
+        command = COMMAND
+        if mutant is not None:
+            apply(mutant, root)
+            command += ("--deselect", TEXT_CHECK)
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *SELECTION]
         started = time.monotonic()
         try:
             proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
-            killed = proc.returncode != 0
-            detail = first_failure(proc.stdout) if killed else f"{len(SELECTION)} test files passed"
+            failed, detail = proc.returncode != 0, first_failure(proc.stdout)
         except subprocess.TimeoutExpired:
-            killed, detail = True, f"timed out after {TIMEOUT} s"
+            failed, detail = True, f"timed out after {TIMEOUT} s"
         elapsed = time.monotonic() - started
-    print(f"{'KILLED' if killed else 'SURVIVED':8}  {mutant.name:30}  {elapsed:6.1f} s  {detail}", flush=True)
-    return killed
+    if mutant is None:
+        label, name = ("FAILED" if failed else "PASSED"), "(control)"
+    else:
+        label, name = ("KILLED" if failed else "SURVIVED"), mutant.name
+    print(f"{label:8}  {name:30}  {elapsed:6.1f} s  {detail}", flush=True)
+    return failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", choices=[m.name for m in MUTANTS], help="run one mutant")
+    parser.add_argument("--only", nargs="+", choices=[m.name for m in MUTANTS], help="run these mutants")
     args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if args.only in (None, m.name)]
+    mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
+    if run(None):
+        print("the unmutated copy fails tier-1, so no mutant can be judged")
+        return 2
     killed = sum(run(m) for m in mutants)
     print(f"{killed} of {len(mutants)} mutants killed")
     return 0 if killed == len(mutants) else 1

@@ -146,6 +146,15 @@ class TestDecoherenceTime:
                 assert verdict.t_d == traj.times[first_below]
                 assert verdict.sup_late == 0.05
 
+    def test_undecohered_sup_late_covers_the_whole_final_window(self):
+        # No window holds.  The final window [7, 10] starts on a sample, 0.8
+        # at t = 7, and sup_late must include it.
+        times = np.linspace(0.0, 10.0, 11)
+        values = np.array([1, 0.5, 0.05, 0.5, 0.05, 0.5, 0.05, 0.8, 0.05, 0.5, 0.05])
+        verdict = decoherence_time(Trajectory(times=times, values=values), 0.1, 3.0)
+        assert not verdict.decohered
+        assert verdict.sup_late == 0.8
+
     def test_complex_values_use_modulus(self):
         times = np.linspace(0.0, 10.0, 101)
         values = 0.05j * np.ones_like(times)
@@ -340,6 +349,12 @@ class TestRecurrence:
         model = sample_model(5, 3)
         with pytest.raises(ValueError, match="commensurate"):
             recurrence_check(model, 2.0 * math.pi)
+        # One coupling off its rung by 1e-6 relative: beyond COMMENSURATE_RTOL.
+        ladder = commensurate_model(5, 1.0, 42)
+        couplings = ladder.couplings.copy()
+        couplings[2] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="commensurate"):
+            recurrence_check(dataclasses.replace(ladder, couplings=couplings), 2.0 * math.pi)
 
     def test_bad_period(self):
         model = commensurate_model(2, 1.0, 0)
@@ -454,6 +469,15 @@ class TestScalingSweep:
         rows = n_scaling_sweep([20, 100], seed=0)
         assert all(row.decohered for row in rows)
         assert all(math.isfinite(row.t_d) for row in rows)
+
+    def test_row_decoheres_only_if_every_seed_does(self):
+        # Seeds 2 and 3 decohere and seed 4 does not, so the medians read a
+        # finite t_d and a sup_late below the threshold; the row still fails.
+        singles = [n_scaling_sweep([15], seed, n_seeds=1, points=400)[0] for seed in (2, 3, 4)]
+        assert [row.decohered for row in singles] == [True, True, False]
+        (row,) = n_scaling_sweep([15], 2, n_seeds=3, points=400)
+        assert math.isfinite(row.t_d) and row.sup_late <= 0.1
+        assert not row.decohered
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -352,11 +352,12 @@ class TestJsonOutputs:
     def test_oracle_check_referees_engine_on_whole_grid(self, tmp_path, monkeypatch):
         # The engine gets each trial's evenly spaced grid in one call, the way
         # real runs call it, so its angle-addition path is what gets checked.
+        # The grid spans 50 / gbar of that trial's model.
         grids = []
 
         def recording(func):
             def wrapper(model, *args):
-                grids.append((func.__name__, np.asarray(args[-1])))
+                grids.append((func.__name__, model, np.asarray(args[-1])))
                 return func(model, *args)
 
             return wrapper
@@ -364,9 +365,10 @@ class TestJsonOutputs:
         monkeypatch.setattr(cli, "expectation", recording(cli.expectation))
         monkeypatch.setattr(cli, "overlap_r", recording(cli.overlap_r))
         assert run_cli(["oracle-check", "--n", "3", "--trials", "2"], tmp_path) == EXIT_OK
-        assert [name for name, _ in grids] == ["expectation", "overlap_r"] * 2
-        for _, times in grids:
-            assert times.shape == (10,)
+        assert [name for name, _, _ in grids] == ["expectation", "overlap_r"] * 2
+        assert grids[0][1].mean_coupling != grids[2][1].mean_coupling
+        for _, model, times in grids:
+            assert np.array_equal(times, np.linspace(0.0, 50.0 / model.mean_coupling, 10))
             assert _even_step(times) is not None
 
     def test_oracle_check_builds_one_field_and_one_state_at_a_time(self, tmp_path, monkeypatch):

@@ -469,6 +469,8 @@ class TestReducedState:
     def test_invariants_enforced_on_construction(self):
         with pytest.raises(ValueError, match="unit trace"):
             ReducedState(np.diag([0.7, 0.7]))
+        with pytest.raises(ValueError, match="unit trace"):
+            ReducedState(np.diag([0.5 + 1e-9, 0.5]))  # beyond the 1e-12 tolerance
         with pytest.raises(ValueError, match="reduced state off-diagonal entries must be conjugates"):
             ReducedState(np.array([[0.5, 0.1], [0.3, 0.5]]))
         with pytest.raises(ValueError, match="reduced state diagonal must be real"):

@@ -145,6 +145,9 @@ class TestObservables:
         bad = np.array([[1.0, 1.0j], [1.0j, 0.0]])
         with pytest.raises(ValueError, match="conjugates"):
             make_observable(bad, [IDENTITY_2])
+        # An off-diagonal pair 1e-9 apart: beyond HERMITICITY_TOL.
+        with pytest.raises(ValueError, match="conjugates"):
+            make_observable(np.array([[0.5, 0.1], [0.1 + 1e-9, 0.5]]), [IDENTITY_2])
 
     def test_make_observable_rejects_complex_diagonal(self):
         bad = np.array([[1.0j, 0.0], [0.0, 0.0]])

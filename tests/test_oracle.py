@@ -80,6 +80,9 @@ class TestDenseStateInvariants:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             DenseState(amplitudes=np.ones(4), n_sites=1)
+        # A squared norm off by 2e-8: beyond the 1e-10 tolerance.
+        with pytest.raises(ValueError, match="normalized"):
+            DenseState(amplitudes=build_initial(sample_model(2, 1)).amplitudes * (1.0 + 1e-8), n_sites=2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_amplitudes(self, bad):
@@ -421,13 +424,15 @@ class TestOracleExpectation:
 
     def test_non_hermitian_leak_detected(self):
         # Bypass RelevantObservable's checks on purpose: the contraction must
-        # notice the imaginary residue.
+        # notice the imaginary residue, 0.6 * 0.8 times the leak at t = 0,
+        # down to a leak of 1e-8 (a residue of 4.8e-9).
         state = build_initial(sample_model(1, 5, a=0.6, b=0.8j))
-        leaky = object.__new__(RelevantObservable)
-        object.__setattr__(leaky, "system_part", np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        object.__setattr__(leaky, "site_parts", np.array([IDENTITY_2]))
-        with pytest.raises(ValueError, match="Hermitian"):
-            oracle_expectation(state, leaky)
+        for leak in (1.0, 1e-8):
+            leaky = object.__new__(RelevantObservable)
+            object.__setattr__(leaky, "system_part", np.array([[0.0, leak], [0.0, 0.0]], dtype=complex))
+            object.__setattr__(leaky, "site_parts", np.array([IDENTITY_2]))
+            with pytest.raises(ValueError, match=f"imaginary residue {0.48 * leak:.3e}; observable is not Hermitian"):
+                oracle_expectation(state, leaky)
 
     @given(seed=seed_strategy, t=st.floats(min_value=0, max_value=100, allow_nan=False))
     @settings(max_examples=25, deadline=None)
