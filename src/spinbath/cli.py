@@ -272,12 +272,11 @@ def _cmd_oracle_check(cfg: ExperimentConfig) -> dict:
         values = expectation(model, obs, times).tolist()
         overlaps = overlap_r(model, times).tolist()
         for t, value, overlap in zip(times.tolist(), values, overlaps):
+            # The overlap's branch chains are gone before evolve allocates the state.
+            overlap_diff = abs(overlap - oracle_overlap(model, t, site_cap=cfg.site_cap))
             state = evolve(state0, model, t)
-            diffs = (
-                abs(value - oracle_expectation(state, obs)),
-                abs(overlap - oracle_overlap(model, t, site_cap=cfg.site_cap)),
-                np.abs(oracle_reduced_state(state) - reduced_system_state(model, t).matrix).max(),
-            )
+            reduced = oracle_reduced_state(state) - reduced_system_state(model, t).matrix
+            diffs = (abs(value - oracle_expectation(state, obs)), overlap_diff, np.abs(reduced).max())
             del state  # freed before the next evolve allocates another
             worst = np.maximum(worst, diffs)  # a NaN difference stays NaN
     passed = bool(np.all(worst <= cfg.tol))

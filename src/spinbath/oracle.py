@@ -13,15 +13,16 @@ alpha_i e^(+i g_i t / 2) and beta_i e^(-i g_i t / 2), and is asserted in tests.
 ``evolve`` builds the model's field on every call, for the configurations with
 site 1 up only.
 
-The observable is applied in blocks of up to ``_BLOCK_PARTS`` consecutive 2x2
-parts: their Kronecker product, a d x d matrix with d = 2^_BLOCK_PARTS, acts
-on the leading d-fold axis of the vector by matrix products, and the result
-lists that axis last.  The axes cycle through the front, and after the last
-block every axis is back in place.
+The observable is taken in Kronecker blocks of up to ``_BLOCK_PARTS`` 2x2
+parts.  The lead block B splits the state into d sub-vectors psi_j; the later
+blocks act on one at a time, each on the leading axis by matrix products that
+list that axis last, so after the last block every axis is back in place.
+With G_ij = <psi_i|O_rest psi_j>, <psi|O|psi> = sum B_ij G_ij.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,20 +32,14 @@ from .model import RelevantObservable, SpinBathModel, _Checked
 
 # At the default cap a state is 2^25 complex doubles, 512 MiB.  evolve holds
 # the input, the rotated vector and the 2^23 field values it builds for the
-# call (about 1.06 GiB); oracle_expectation holds the state and two working
-# vectors (1.5 GiB).  Raise site_cap explicitly on machines that can take more.
+# call (about 1.06 GiB); oracle_expectation holds the state and two 32 MiB
+# working sub-vectors (576 MiB).  Raise site_cap explicitly on more memory.
 DEFAULT_SITE_CAP = 24
 
-# 2x2 parts per block in oracle_expectation.  At N = 16 a call takes 3.8 ms
-# with 4 parts, 4.4 ms with 2 or 3 and 5.5 ms with 5.
+# 2x2 parts in oracle_expectation's lead block (d = 16 sub-vectors) and at most
+# in each later one.  At N = 16 a call took 2.8 ms on a shared 2-core x86-64,
+# 3.5 ms with later blocks of at most 3 parts, 3.3 ms with 4 + a 1-part rest.
 _BLOCK_PARTS = 4
-# Largest m n k of one matrix product there: (1024, 16) @ (16, 16) complex
-# for a 4-part block.  Products this size still run on both OpenBLAS threads;
-# what the row slices buy is memory, for a little time.  On a shared 2-core
-# x86-64 machine, 8 alternating runs each of `bench/run.py --workload
-# oracle-dense --seconds 3` with and without them read peak RSS 46.09 against
-# 47.65 MiB (lower in 8 of 8) and run_s 0.259 against 0.244 s (medians).
-_PRODUCT_SIZE = 2**18
 
 
 class SiteCapError(RuntimeError):
@@ -135,36 +130,41 @@ def evolve(state: DenseState, model: SpinBathModel, t: float) -> DenseState:
     return DenseState(amps, state.n_sites)
 
 
-def oracle_expectation(state: DenseState, obs: RelevantObservable) -> float:
-    """<psi|O|psi> by applying O to the full vector, ``_BLOCK_PARTS`` parts at a time.
+def _kron(block: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """np.kron(block, part) for square matrices, bit for bit, from one outer product."""
+    n = block.shape[0] * part.shape[0]
+    return np.multiply.outer(block, part).transpose(0, 2, 1, 3).reshape(n, n)
 
-    Blocks take the system part first.  Cost O(d 2^(N+1)) per block and
-    ceil((N + 1) / _BLOCK_PARTS) blocks, so O(N 2^(N+1)) with a constant of
-    d / _BLOCK_PARTS = 4 multiply-adds per part and amplitude; two working
-    vectors besides the state.  The imaginary residue must stay below 1e-10
-    (anything larger means a non-Hermitian part leaked into the observable).
+
+def oracle_expectation(state: DenseState, obs: RelevantObservable) -> float:
+    """<psi|O|psi> as sum B_ij G_ij over the lead block B and the Gram matrix G.
+
+    The lead block holds the system part and the next three.  Each sub-vector
+    psi_j passes through the later blocks via two working sub-vectors of
+    2^(N+1) / d amplitudes (the only memory besides the state), and one product
+    with all sub-vectors fills G[:, j]: at most d 2^(N+1) multiply-adds per
+    block and for G, O(N 2^(N+1)) in all.  An imaginary residue above 1e-10
+    means a non-Hermitian part leaked into the observable.
     """
     if obs.n_sites != state.n_sites:
         raise ValueError(
             f"observable has {obs.n_sites} site parts, state has {state.n_sites} sites"
         )
     parts = [obs.system_part, *obs.site_parts]
-    vector = state.amplitudes
-    # One allocation for both working vectors: glibc then keeps its pages
-    # resident between calls instead of trimming and refaulting them.
-    buffers = np.empty((2, vector.size), dtype=complex)
-    for k, lo in enumerate(range(0, len(parts), _BLOCK_PARTS)):
-        block = parts[lo]
-        for part in parts[lo + 1 : lo + _BLOCK_PARTS]:
-            block = np.kron(block, part)
-        # (block @ X).T written as X.T @ block.T: the result comes out
-        # contiguous with the block's axis last, ready for the next reshape.
-        rows = vector.reshape(block.shape[0], -1).T
-        vector = buffers[k % 2].reshape(rows.shape)
-        step = _PRODUCT_SIZE // block.size
-        for r in range(0, rows.shape[0], step):
-            np.matmul(rows[r : r + step], block.T, out=vector[r : r + step])
-    value = complex(np.vdot(state.amplitudes, vector.ravel()))
+    lead, tail = functools.reduce(_kron, parts[:_BLOCK_PARTS]), parts[_BLOCK_PARTS:]
+    n = -(-len(tail) // _BLOCK_PARTS)  # later blocks, their sizes within one part
+    cuts = [k * len(tail) // n for k in range(n + 1)] if n else []
+    rest = [functools.reduce(_kron, tail[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    rows = state.amplitudes.reshape(lead.shape[0], -1)
+    buffers = np.empty((2, rows.shape[1]), dtype=complex)
+    gram = np.empty_like(lead)  # row j holds conj(G[:, j])
+    for j, vector in enumerate(rows):
+        for k, block in enumerate(rest):
+            # (block @ X).T as X.T @ block.T: contiguous, the block's axis last.
+            x = vector.reshape(block.shape[0], -1).T
+            vector = np.matmul(x, block.T, out=buffers[k % 2].reshape(x.shape)).ravel()
+        np.matmul(rows, np.conjugate(vector, out=buffers[len(rest) % 2]), out=gram[j])
+    value = complex(np.vdot(gram, lead.T))
     if abs(value.imag) > 1e-10:
         raise ValueError(
             f"expectation has imaginary residue {value.imag:.3e}; observable is not Hermitian"

@@ -186,6 +186,7 @@ MUTANTS = (
         "abs(np.vdot(amps, amps).real - 1.0) <= 1e-2",
     ),
     Mutant("oracle-residue-tol-1e-2", ORACLE, "if abs(value.imag) > 1e-10:", "if abs(value.imag) > 1e-2:"),
+    Mutant("oracle-gram-lead-untransposed", ORACLE, "np.vdot(gram, lead.T)", "np.vdot(gram, lead)"),
     Mutant(
         "reduced-trace-tol-1e-6",
         ENGINE,

@@ -391,6 +391,27 @@ class TestJsonOutputs:
         assert run_cli(["oracle-check", "--n", "3", "--trials", "2"], tmp_path) == EXIT_OK
         assert len(initial) == 2 and len(evolved) == 20
 
+    def test_oracle_check_builds_no_branch_chains_beside_an_evolved_state(self, tmp_path, monkeypatch):
+        # oracle_overlap's two 2^N chains and an evolved 2^(N+1) state are
+        # never alive at once: each point takes its overlap before evolving.
+        evolved, overlaps = [], []
+
+        def evolving(state, model, t):
+            state = cli_evolve(state, model, t)
+            evolved.append(weakref.ref(state))
+            return state
+
+        def overlapping(model, t, site_cap):
+            assert all(ref() is None for ref in evolved)
+            overlaps.append(t)
+            return cli_overlap(model, t, site_cap=site_cap)
+
+        cli_evolve, cli_overlap = cli.evolve, cli.oracle_overlap
+        monkeypatch.setattr(cli, "evolve", evolving)
+        monkeypatch.setattr(cli, "oracle_overlap", overlapping)
+        assert run_cli(["oracle-check", "--n", "3", "--trials", "2"], tmp_path) == EXIT_OK
+        assert len(overlaps) == len(evolved) == 20
+
     def test_keys_are_sorted(self, tmp_path):
         run_cli(["timescale", "--v1", "5", "--v2", "2"], tmp_path)
         text = (tmp_path / "timescale.json").read_text(encoding="ascii")

@@ -26,6 +26,7 @@ from spinbath.model import (
 from spinbath.oracle import (
     DenseState,
     SiteCapError,
+    _kron,
     _site_field,
     build_initial,
     evolve,
@@ -253,9 +254,10 @@ def _kron_matrix(obs):
 
 
 class TestBlockedContraction:
-    @pytest.mark.parametrize("n_sites", range(1, 8))
+    @pytest.mark.parametrize("n_sites", range(1, 10))
     def test_matches_full_matrix(self, n_sites):
-        # N + 1 = 2..8 parts: every remainder modulo the block size of 4.
+        # N + 1 = 2..10 parts: the lead block alone (up to N = 3), one later
+        # block of each size 1..4 (N = 4..7), and two of sizes 2+3 and 3+3.
         for seed in range(3):
             state = _random_state(n_sites, seed)
             obs = sample_observable(n_sites, seed + 100)
@@ -274,7 +276,18 @@ class TestBlockedContraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * state.amplitudes.nbytes
+        # Two working sub-vectors of 2^17 / 16 amplitudes (256 KiB) and no state-sized one.
+        assert peak <= state.amplitudes.nbytes // 4
+
+    @pytest.mark.parametrize("n_parts", range(1, 5))
+    def test_kron_blocks_match_kron_chain(self, n_parts):
+        # The blocks oracle_expectation builds carry the bits of np.kron.
+        parts = sample_observable(16, 7).site_parts
+        for lo in range(0, 16 - n_parts + 1, n_parts):
+            chain = block = parts[lo]
+            for part in parts[lo + 1 : lo + n_parts]:
+                chain, block = np.kron(chain, part), _kron(block, part)
+            assert np.array_equal(block, chain)
 
     def test_imports_nothing_from_engine(self):
         tree = ast.parse(Path(spinbath.oracle.__file__).read_text(encoding="utf-8"))
