@@ -27,6 +27,9 @@ live times in tiles of at most 2^15 site-times per product (32 sites x 1024
 times), so a call holds O(N + T) memory, never an (N, T) matrix.  Which
 factors meet at a time point is fixed by the run geometry below and the site
 blocks; the chunk and tile widths set memory and speed and move no byte.
+``overlap_r`` takes a row range: it multiplies only the chunks and live
+windows that hold the selected times, in the whole grid's run geometry, so
+each selected row has the bytes of the full call.
 
 Every per-site factor is f = a + b cos(g t) + c sin(g t): callers give the
 coefficients (a, b, c).  On an evenly spaced grid (every t_k within
@@ -37,7 +40,8 @@ addition f = a + P cos beta + Q sin beta with P = b cos alpha + c sin alpha,
 Q = c cos alpha - b sin alpha.  Per site, [1, cos alpha, sin alpha] times the
 rotated coefficients is [a, P, Q], and that times [1, cos beta, sin beta] is
 the tile: two matrix products and 32 cos/sin pairs per site for 1024 times,
-plus the run's 32 fine pairs once per site and chunk.  The phase moves by at
+plus the run's 32 fine pairs once per site and chunk, or only the pairs a
+live window inside one run spans.  The phase moves by at
 most about |g| 4 ulp(max |t|), the order of the rounding of g t itself.
 Other grids and scalar times take L = 1 and beta = 0, so f = a + P is
 [1, cos g t, sin g t] times [a, b, c]: the coarse stage alone is the tile.
@@ -231,7 +235,7 @@ def _live_window(exponents: list[np.ndarray], lo: int, hi: int) -> tuple[int, in
 
 
 def _site_products(
-    couplings: np.ndarray, times: np.ndarray, moduli: np.ndarray, coefficients
+    couplings: np.ndarray, times: np.ndarray, moduli: np.ndarray, coefficients, rows: slice = slice(None)
 ) -> list[np.ndarray]:
     """Products over all sites of a + b cos(g t) + c sin(g t), one per triple.
 
@@ -242,25 +246,35 @@ def _site_products(
     above that sum, which may lie beyond the double range.  Each running
     product keeps its mantissa in the result array itself and an integer
     exponent per time point, renormalized by ``_fold`` after every site block;
-    the only rounding to the double range is the final ldexp.
+    the only rounding to the double range is the final ldexp.  ``rows``, a
+    slice of step 1, selects the times whose products are computed and
+    returned; a step other than 1 raises ValueError.
 
     The loop is site-major within each chunk of _CHUNK_TIMES times.  Site
-    blocks of ``rows`` sites (32 for 1024 or more times) are the outer loop: a
-    block's rotated coefficients and fine stage are built once, then one tile
-    loop sweeps the chunk's live window in pieces of whole runs, batched over
-    the block's sites.  Each piece takes one coarse-stage product for all
+    blocks of ``height`` sites (32 for 1024 or more times) are the outer loop:
+    a block's rotated coefficients and fine stage are built once, then one
+    tile loop sweeps the chunk's live window in pieces of whole runs, batched
+    over the block's sites.  Each piece takes one coarse-stage product for all
     products ([1, cos, sin] times the scaled [a, b, c], the tile itself, where
     beta = 0), then per product its fine-stage product on runs and its fold.
     The angle stack has at least two rows: BLAS multiplies a one-row matrix on
     a path that rounds apart.  Points at or below _DROP in every product after
-    a block are certainly 0, so later blocks span only the live window.  A
-    point's factors depend only on the run geometry (runs of
-    isqrt(min(T, _TILE_TIMES)) times from the first time) and the fold
-    partition, so chunk and piece sizes move no byte.  Buffers are allocated
+    a block are certainly 0, so later blocks span only the live window, and a
+    window inside one run builds its fine stage only for the offsets it spans
+    (at least two, for the same reason).  A chunk's window starts as the
+    selected rows within it, and chunks without any are skipped.  A point's
+    factors depend only on the run geometry (runs of isqrt(min(T,
+    _TILE_TIMES)) times from the first time of the whole grid, selected or
+    not) and the fold partition, so chunk, piece, window and row range move
+    no byte of the points they hold.  Buffers are allocated
     once per call, for a block's widest piece, and later pieces and the last,
     shorter block take views of their heads.  Times whose phase error,
     4 ulp(max |t|) max |g|, is not below 1 radian raise ValueError.
     """
+    first_row, last_row, stride = rows.indices(times.size)
+    if stride != 1:
+        raise ValueError(f"rows must be a slice of consecutive times, got step {stride}")
+    last_row = max(first_row, last_row)
     span = float(np.abs([times.min(initial=0.0), times.max(initial=0.0)]).max())  # NaN if any t is
     blur = 4.0 * float(np.spacing(span)) * float(np.abs(couplings).max(initial=0.0))
     if not blur < 1.0:  # a NaN or infinite time is refused too
@@ -284,58 +298,65 @@ def _site_products(
             part[:, i] = x
     np.ldexp(scaled, -powers[:, None, None], out=scaled)
     cols = max(1, min(times.size, _TILE_TIMES))
-    rows = min(_TILE_SITES, _TILE_ELEMENTS // cols, couplings.size)
+    height = min(_TILE_SITES, _TILE_ELEMENTS // cols, couplings.size)
     step = _even_step(times)
     run = 1 if step is None else math.isqrt(cols)
-    piece = max(1, _PIECE_ELEMENTS // (rows * run)) * run
+    piece = max(1, _PIECE_ELEMENTS // (height * run)) * run
     chunk = max(1, _CHUNK_TIMES // run) * run
     # Runs in the widest piece; a lone run goes in twice.
     widest = max(2, -(-min(piece, chunk, times.size) // run))
     # Each product's columns of the coarse stage: its factor where beta = 0, else its [a, P, Q].
     per_part = 1 if run == 1 else 3
     spans = [slice(per_part * j, per_part * (j + w)) for j, w in zip(starts, widths)]
-    angle_store = np.empty(rows * 3 * widest)
-    coarse_store = np.empty(rows * widest * per_part * parts)
+    angle_store = np.empty(height * 3 * widest)
+    coarse_store = np.empty(height * widest * per_part * parts)
     if run > 1:
         offsets = np.arange(run) * step
-        rotation = np.zeros((rows, 3, parts, 3))
-        tile_store = np.empty(rows * widest * run * max(widths))
-        # The fine stage keeps its cos and sin rows contiguous; BLAS gets transposed views.
-        fine, pair = np.ones((3, rows, run)), np.zeros((rows, 2, 3, run, 2))
-    results = [np.empty(times.size, d) for d in dtypes]
-    exponents = [np.empty(min(times.size, chunk), np.int64) for _ in dtypes]
-    for start in range(0, times.size, chunk):
-        t = times[start : start + chunk]
-        mantissas = [result[start : start + t.size] for result in results]
-        running = [exponent[: t.size] for exponent in exponents]
+        rotation = np.zeros((height, 3, parts, 3))
+        tile_store = np.empty(height * widest * run * max(widths))
+        # The fine stage keeps each site's cos and sin offsets contiguous; BLAS gets transposed views.
+        fine, pair = np.ones((3, height, run)), np.zeros((height, 2, 3, run, 2))
+    results = [np.empty(last_row - first_row, d) for d in dtypes]
+    exponents = [np.empty(min(last_row - first_row, chunk), np.int64) for _ in dtypes]
+    for start in range(first_row - first_row % chunk, last_row, chunk):
+        # Times [base, end) of this chunk are selected; every index below is into ``times``.
+        base, end = max(start, first_row), min(start + chunk, last_row)
+        mantissas = [result[base - first_row : end - first_row] for result in results]
+        running = [exponent[: end - base] for exponent in exponents]
         for mantissa, exponent in zip(mantissas, running):
             mantissa.fill(1.0)
             exponent.fill(scale)
-        lo, hi = 0, t.size
-        for site in range(0, couplings.size, rows):
+        lo, hi = base, end
+        for site in range(0, couplings.size, height):
             if lo == hi:
                 break
             first = lo - lo % run  # the first time of the run that holds lo
-            sites = slice(site, site + rows)
+            sites = slice(site, site + height)
             g = couplings[sites, None]
             n = g.size
             right = scaled[sites]  # beta = 0: the rotated coefficients times [1, 1, 0] are [a, b, c]
+            skip, width = 0, run  # the fine stage's first offset and its count
             if run > 1:
                 a, b, c = right.transpose(1, 0, 2)
                 rotation[:n, 0, :, 0], rotation[:n, 1, :, 1] = a, b
                 rotation[:n, 2, :, 1] = rotation[:n, 1, :, 2] = c
                 np.negative(b, out=rotation[:n, 2, :, 2])
                 right = rotation[:n].reshape(n, 3, -1)
-                beta = np.multiply(g, offsets, out=fine[1, :n])
-                np.sin(beta, out=fine[2, :n])
+                if hi - first <= run:
+                    # A window inside one run takes only the offsets it spans, at least two:
+                    # BLAS multiplies a one-column matrix on a path that rounds apart.
+                    skip = min(lo - first, run - 2)
+                    width = max(hi - first - skip, 2)
+                beta = np.multiply(g, offsets[skip : skip + width], out=fine[1, :n, :width])
+                np.sin(beta, out=fine[2, :n, :width])
                 np.cos(beta, out=beta)
-                fine_stack = fine[:, :n].transpose(1, 0, 2)
-                pair[:n, 0, :, :, 0] = pair[:n, 1, :, :, 1] = fine_stack
+                fine_stack = fine[:, :n, :width].transpose(1, 0, 2)
+                pair[:n, 0, :, :width, 0] = pair[:n, 1, :, :width, 1] = fine_stack
                 # A complex product's block-diagonal pair interleaves its (re, im) parts.
-                fines = [(fine_stack, pair[:n].reshape(n, 6, -1))[w - 1] for w in widths]
+                fines = [(fine_stack, pair[:n, :, :, :width].reshape(n, 6, -1))[w - 1] for w in widths]
             for p in range(first, hi, piece):
                 stop = min(p + piece, hi)
-                origins = t[p:stop:run]
+                origins = times[p:stop:run]
                 count = 2 if origins.size == 1 else origins.size  # a lone run goes in twice
                 angles = angle_store[: 3 * n * count].reshape(3, n, count)
                 angles[0] = 1.0
@@ -351,8 +372,9 @@ def _site_products(
                         out = tile_store[: n * count * fines[i].shape[2]].reshape(n, count, -1)
                         tile = np.matmul(tile, fines[i], out=out)
                     tile = tile.view(d).reshape(n, -1)
-                    _fold(mantissa[begin:stop], exponent[begin:stop], tile[:, begin - p : stop - p])
-            lo, hi = _live_window(running, lo, hi)
+                    points = slice(begin - base, stop - base)
+                    _fold(mantissa[points], exponent[points], tile[:, begin - p - skip : stop - p - skip])
+            lo, hi = (base + k for k in _live_window(running, lo - base, hi - base))
         for mantissa, exponent in zip(mantissas, running):
             _ldexp(mantissa, exponent, out=mantissa)
             # Adding 0 turns a negative number that underflowed to -0.0 into +0.0.
@@ -426,15 +448,21 @@ def _overlap_coefficients(model: SpinBathModel):
     return w_sum, (0, w_sum, 1j * (w_up - w_down))
 
 
-def overlap_r(model: SpinBathModel, t):
+def overlap_r(model: SpinBathModel, t, *, rows: slice = slice(None)):
     """Overlap of the two bath branches:  prod_i (|alpha_i|^2 e^(i g_i t) + |beta_i|^2 e^(-i g_i t)).
 
     Its modulus controls how much central-qubit coherence survives at time t.
-    Satisfies overlap_r(-t) == conj(overlap_r(t)).
+    Satisfies overlap_r(-t) == conj(overlap_r(t)).  ``rows``, a slice of
+    consecutive times of an array ``t``, returns only those rows, each with
+    the bytes of ``overlap_r(model, t)[rows]``, and multiplies no other; a
+    slice step other than 1, or ``rows`` with a scalar time, raises
+    ValueError.
     """
     times, scalar = _as_times(t)
+    if scalar and rows != slice(None):
+        raise ValueError("rows select times of an array, not of a scalar time")
     bound, overlap = _overlap_coefficients(model)
-    out = _site_products(model.couplings, times, bound, (overlap,))[0]
+    out = _site_products(model.couplings, times, bound, (overlap,), rows=rows)[0]
     return complex(out[0]) if scalar else out
 
 

@@ -9,7 +9,8 @@ both, under the same numpy build, SIMD level and BLAS kernels:
 
 Each line is ``name dtype shape sha256``.  The cases cover both tile paths
 (evenly spaced grids, and uneven grids or scalar times), every public
-evaluator and ``_product``, piece and chunk edges (T = 1023 to 4097), lone
+evaluator and ``_product``, piece and chunk edges (T = 1023 to 4097), rows
+selected from a grid (a prefix, and ranges across a piece or chunk edge), lone
 last runs, a grid symmetric about 0, rows that fall to exactly 0, the
 split-factor fallback and site parts near the double range.  The whole run
 takes a few seconds.
@@ -81,16 +82,22 @@ def cases() -> list[Case]:
     """Every case, each computing from the arguments bound to it."""
     out = []
 
-    def add(name, cost, f, *args):
-        out.append(Case(name, cost, partial(f, *args)))
+    def add(name, cost, f, *args, **kwargs):
+        out.append(Case(name, cost, partial(f, *args, **kwargs)))
 
     for n in (1, 2, 7, 33, 100, 1000, 3000, 10**4):
         model = sample_model(n, 5)
         obs = sample_observable(n, 6) if n <= 3000 else None
-        for grid, t in _grids(model).items():
+        grids = _grids(model)
+        for grid, t in grids.items():
             add(f"overlap_r/N={n}/{grid}", n * np.size(t), engine.overlap_r, model, t)
             if obs is not None:
                 add(f"expectation/N={n}/{grid}", n * np.size(t), engine.expectation, model, obs, t)
+        # Selected rows: the prefix a sweep verdict reads, and a range across
+        # the run and piece edge at time 1024.
+        for grid, start, stop in (("even400", 0, 82), ("even2000", 1000, 1100)):
+            add(f"overlap_r/N={n}/{grid}/rows{start}:{stop}", n * (stop - start),
+                engine.overlap_r, model, grids[grid], rows=slice(start, stop))
         add(f"reduced_state/N={n}", 3 * n, _reduced_states, model, (0.0, 0.7, 2.5))
         w_up, _ = engine._site_weights(model)
         add(f"_product/N={n}", n, engine._product, (2.0 * w_up - 1.0) ** 2)
@@ -106,6 +113,8 @@ def cases() -> list[Case]:
         t = np.linspace(0.0, 100.0 / model.mean_coupling, size)
         add(f"overlap_r/N=100/even{size}", 100 * size, engine.overlap_r, model, t)
         add(f"expectation/N=100/even{size}", 100 * size, engine.expectation, model, obs, t)
+    t = np.linspace(0.0, 100.0 / model.mean_coupling, 4097)
+    add("overlap_r/N=100/even4097/rows4000:4097", 100 * 97, engine.overlap_r, model, t, rows=slice(4000, 4097))
     add("overlap_r/N=10000/seed0/t<=1/8193", 10**4 * 8193,
         engine.overlap_r, sample_model(10**4, 0), np.linspace(0.0, 1.0, 8193))
     # The split fallback: near-balanced factors.

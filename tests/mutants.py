@@ -98,8 +98,8 @@ MUTANTS = (
     Mutant(
         "first-site-block-dropped",
         ENGINE,
-        "for site in range(0, couplings.size, rows):",
-        "for site in range(rows, couplings.size, rows):",
+        "for site in range(0, couplings.size, height):",
+        "for site in range(height, couplings.size, height):",
     ),
     Mutant(
         "coarse-angles-of-abs-t",
@@ -172,6 +172,12 @@ MUTANTS = (
         ANALYSIS,
         "decohered=all(v.decohered for v in verdicts)",
         "decohered=any(v.decohered for v in verdicts)",
+    ),
+    Mutant(
+        "sweep-second-pass-skipped",
+        ANALYSIS,
+        "if not verdict.decohered and prefix < times.size:",
+        "if False:",
     ),
     Mutant(
         "oracle-grid-short",

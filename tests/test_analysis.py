@@ -16,6 +16,7 @@ from spinbath.analysis import (
     HBAR_EV_S,
     NEVER,
     DecoherenceVerdict,
+    SweepRow,
     TimescaleReport,
     _median,
     decoherence_time,
@@ -490,6 +491,90 @@ class TestScalingSweep:
     def test_explicit_window_and_span(self):
         rows = n_scaling_sweep([20], seed=0, window=40.0, t_max=200.0, points=1000, n_seeds=2)
         assert rows[0].n_sites == 20
+
+    @staticmethod
+    def _full_grid_rows(n_list, seed, n_seeds, points):
+        """The sweep's rows from ``decoherence_time`` on every overlap of each grid."""
+        rows = []
+        for n_sites in n_list:
+            verdicts = []
+            for k in range(n_seeds):
+                model = sample_model(n_sites, seed + k)
+                gbar = model.mean_coupling
+                verdicts.append(decoherence_time(r_trajectory(model, 100.0 / gbar, points), 0.1, 20.0 / gbar))
+            rows.append(
+                SweepRow(
+                    n_sites,
+                    float(np.median([v.t_d for v in verdicts])),
+                    float(np.median([v.sup_late for v in verdicts])),
+                    all(v.decohered for v in verdicts),
+                )
+            )
+        return rows
+
+    @pytest.mark.parametrize("prefix", [2, 3, 17, 82, 400, None])
+    @pytest.mark.parametrize(
+        "n_list, seed", [([1, 5, 30, 300, 3000], 0), ([15], 2)], ids=["sizes", "one-seed-never"]
+    )
+    def test_the_first_pass_moves_no_verdict(self, monkeypatch, prefix, n_list, seed):
+        # However many rows the first pass takes (None: as many as the sweep
+        # picks), the rows equal the full grid's: a window inside the prefix
+        # is the first, and a grid with none is evaluated in full and judged
+        # again.  Seed 4 at N = 15 never decoheres.
+        expected = self._full_grid_rows(n_list, seed, 3, 400)
+        if prefix is not None:
+            monkeypatch.setattr(analysis, "_prefix_rows", lambda model, times, threshold, window: prefix)
+        assert n_scaling_sweep(n_list, seed, n_seeds=3, points=400) == expected
+
+    def test_a_seed_that_never_decoheres_evaluates_the_rest(self, monkeypatch):
+        # At N = 15 seed 4 never decoheres, so its grid, judged on a first
+        # pass of fewer than all 400 rows, takes a second pass for the rest.
+        expected = self._full_grid_rows([15], 2, 3, 400)
+        calls = []
+        evaluate = analysis.overlap_r
+
+        def recording(model, times, rows):
+            calls.append((rows.start, rows.stop))
+            return evaluate(model, times, rows=rows)
+
+        monkeypatch.setattr(analysis, "overlap_r", recording)
+        (row,) = n_scaling_sweep([15], 2, n_seeds=3, points=400)
+        assert [row] == expected and not row.decohered
+        prefix = calls[-2][1]
+        assert 2 <= prefix < 400 and calls[-2:] == [(None, prefix), (prefix, None)]
+
+    def test_one_draw_one_evaluation_one_verdict_per_model(self, monkeypatch):
+        # The bench's sweep-seeds argv at its test seed: the counts that its
+        # pinned site and verdict totals rest on.
+        calls = {"sample_model": [], "overlap_r": [], "decoherence_time": []}
+        for name, seen in calls.items():
+            original = getattr(analysis, name)
+
+            def recording(*args, _original=original, _seen=seen, **kwargs):
+                _seen.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, recording)
+        n_list = [30, 300, 3000, 10_000]
+        n_scaling_sweep(n_list, 3, threshold=0.1, n_seeds=4, points=400)
+        assert [args[0] for args in calls["sample_model"]] == [n for n in n_list for _ in range(4)]
+        assert [args[0].n_sites for args in calls["overlap_r"]] == [n for n in n_list for _ in range(4)]
+        assert all(args[1].shape == (400,) for args in calls["overlap_r"])
+        assert len(calls["decoherence_time"]) == 16
+
+    def test_grid_refusals_are_r_trajectory_s(self):
+        for kwargs, match in [({"points": 1}, "^need at least two grid points$")] + [
+            ({"t_max": t}, "^t_max must be positive and finite$") for t in (0.0, -5.0, math.inf, math.nan)
+        ]:
+            with pytest.raises(ValueError, match=match):
+                n_scaling_sweep([5], 0, n_seeds=1, **kwargs)
+            with pytest.raises(ValueError, match=match):
+                r_trajectory(sample_model(5, 0), kwargs.get("t_max", 10.0), kwargs.get("points", 100))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_the_verdict_still_refuses_a_threshold(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must lie strictly between 0 and 1$"):
+            n_scaling_sweep([5], 0, threshold=threshold, n_seeds=1, points=100)
 
     @pytest.mark.parametrize(
         "values",

@@ -726,8 +726,8 @@ class TestScaleIndependence:
         kernel = engine._site_products
         for k in (1, 17, 60):
 
-            def scaled(couplings, times, bound, coefficients):
-                return kernel(couplings, times, np.ldexp(bound, k), coefficients)
+            def scaled(couplings, times, bound, coefficients, **rows):
+                return kernel(couplings, times, np.ldexp(bound, k), coefficients, **rows)
 
             before = fallback_points[0]
             with monkeypatch.context() as patch:
@@ -1290,6 +1290,77 @@ class TestPieceAndChunkSizes:
             if size is not None:
                 monkeypatch.setattr(engine, name, size)
         assert np.array_equal(overlap_r(model, times), expected)
+
+
+class TestRowSelection:
+    """``overlap_r(model, t, rows=s)`` has the bytes of ``overlap_r(model, t)[s]`` and multiplies no other row."""
+
+    @staticmethod
+    def _assert_rows_match(model, times, bounds):
+        full = overlap_r(model, times)
+        for start, stop in bounds:
+            got = overlap_r(model, times, rows=slice(start, stop))
+            want = full[start:stop]
+            assert got.dtype == want.dtype and got.shape == want.shape, (start, stop)
+            assert got.tobytes() == want.tobytes(), (start, stop)
+
+    @pytest.mark.parametrize("size", [1023, 1024, 4096, 4097])
+    def test_even_grids_at_run_piece_and_chunk_edges(self, size):
+        # Runs of 31 (T = 1023) or 32 times, pieces of 1023 or 1024 and
+        # chunks of 4092 or 4096 times: ranges start, end and cross there.
+        model = sample_model(100, 7)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, size)
+        edges = (0, 1, 2, 30, 31, 32, 33, 63, 64, 1000, 1022, 1023, 1024, 1025, 4091, 4092, 4095, 4096)
+        bounds = [(a, b) for a in edges for b in (a + 1, a + 2, a + 40, a + 1100, size) if b <= size]
+        self._assert_rows_match(model, times, bounds + [(size - 1, size), (0, size), (size - 3, size + 10)])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda t_max: np.sort(np.random.default_rng(3).uniform(0.0, t_max, 700)),
+            lambda t_max: np.linspace(-t_max, t_max, 999),
+        ],
+        ids=["uneven", "symmetric"],
+    )
+    def test_uneven_and_symmetric_grids(self, grid):
+        model = sample_model(300, 4)
+        times = grid(100.0 / model.mean_coupling)
+        self._assert_rows_match(model, times, [(0, 1), (0, 82), (5, 6), (31, 97), (480, 520), (998, 999), (0, 999)])
+
+    @pytest.mark.parametrize("n_sites, zeros", [(3000, 397), (10_000, 398)])
+    def test_rows_that_fall_to_zero_and_windows_in_one_run(self, n_sites, zeros):
+        # At T = 400 (runs of 20) the live window narrows to the first run's
+        # first rows, whose fine stage then spans only the offsets it uses.
+        model = sample_model(n_sites, 0)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 400)
+        assert np.count_nonzero(overlap_r(model, times) == 0) == zeros
+        bounds = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 20), (19, 21), (0, 82), (3, 400), (300, 400)]
+        self._assert_rows_match(model, times, bounds)
+
+    def test_empty_and_one_row_slices(self):
+        model = sample_model(33, 5)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 2000)
+        self._assert_rows_match(model, times, [(0, 0), (5, 5), (2000, 2000), (7, 3), (0, 1), (1024, 1025), (1999, 2000)])
+        assert overlap_r(model, np.array([]), rows=slice(0, 5)).shape == (0,)
+        assert overlap_r(model, np.array([0.25]), rows=slice(0, 1))[0] == overlap_r(model, 0.25)
+
+    def test_only_the_selected_rows_are_multiplied(self, monkeypatch):
+        model = sample_model(300, 4)
+        times = np.linspace(0.0, 100.0 / model.mean_coupling, 2000)
+        count = _recording(monkeypatch)
+        for start, stop in [(0, 82), (1000, 1100), (1999, 2000)]:
+            count[0] = 0
+            overlap_r(model, times, rows=slice(start, stop))
+            assert count[0] == model.n_sites * (stop - start)
+
+    def test_a_step_or_a_scalar_time_is_refused(self):
+        model = sample_model(5, 1)
+        times = np.linspace(0.0, 1.0, 10)
+        for rows in (slice(0, 10, 2), slice(None, None, -1)):
+            with pytest.raises(ValueError, match="step"):
+                overlap_r(model, times, rows=rows)
+        with pytest.raises(ValueError, match="scalar"):
+            overlap_r(model, 0.5, rows=slice(0, 1))
 
 
 EPS = sys.float_info.epsilon
